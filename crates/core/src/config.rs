@@ -672,14 +672,14 @@ impl SimConfig {
     /// Returns the first violated constraint as a [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.network.router.validate()?;
-        if !(0.0..=1.0).contains(&(self.injection_rate * self.packet_len as f64 / self.packet_len as f64))
-            || self.injection_rate < 0.0
-            || self.injection_rate * self.packet_len as f64 > 1.0 + 1e-9
-        {
-            return Err(ConfigError::BadInjectionRate { rate: self.injection_rate });
-        }
+        // Packet length first: the rate bound below is per flit.
         if self.packet_len == 0 {
             return Err(ConfigError::ZeroPacketLength);
+        }
+        let flit_rate = self.injection_rate * self.packet_len as f64;
+        // Written so that NaN fails both comparisons and is rejected.
+        if !(self.injection_rate >= 0.0 && flit_rate <= 1.0 + 1e-9) {
+            return Err(ConfigError::BadInjectionRate { rate: self.injection_rate });
         }
         Ok(())
     }
@@ -824,5 +824,42 @@ mod tests {
         assert!(!cfg.dimension_aware_va);
         assert_eq!(cfg.virtual_inputs_per_port(), 3);
         cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_orders_and_bounds_the_rate_check() {
+        let net = NetworkConfig::paper_default(TopologyKind::Mesh, AllocatorKind::Vix);
+        let bad_rate = |rate| Err(ConfigError::BadInjectionRate { rate });
+        // (rate in packets/cycle/node, packet_len in flits) → verdict.
+        let cases: [(f64, usize, Result<(), ConfigError>); 12] = [
+            (0.0, 1, Ok(())),
+            (0.05, 4, Ok(())),
+            (0.25, 4, Ok(())),
+            (1.0, 1, Ok(())),
+            (0.3, 4, bad_rate(0.3)),
+            (0.9, 4, bad_rate(0.9)),
+            (1.5, 1, bad_rate(1.5)),
+            (-0.01, 4, bad_rate(-0.01)),
+            (f64::INFINITY, 1, bad_rate(f64::INFINITY)),
+            // Zero length is reported as such, whatever the rate.
+            (0.0, 0, Err(ConfigError::ZeroPacketLength)),
+            (0.9, 0, Err(ConfigError::ZeroPacketLength)),
+            (-1.0, 0, Err(ConfigError::ZeroPacketLength)),
+        ];
+        for (rate, len, want) in cases {
+            let mut cfg = SimConfig::new(net, rate);
+            cfg.packet_len = len;
+            assert_eq!(cfg.validate(), want, "rate {rate}, packet_len {len}");
+        }
+        let mut cfg = SimConfig::new(net, f64::NAN);
+        cfg.packet_len = 4;
+        assert!(matches!(cfg.validate(), Err(ConfigError::BadInjectionRate { rate }) if rate.is_nan()));
+    }
+
+    #[test]
+    fn bad_rate_message_is_in_packets_and_states_the_flit_bound() {
+        let msg = ConfigError::BadInjectionRate { rate: 0.9 }.to_string();
+        assert!(msg.contains("got 0.9 packets/cycle/node"), "{msg}");
+        assert!(msg.contains("rate × packet_len <= 1 flit/cycle/node"), "{msg}");
     }
 }

@@ -36,9 +36,11 @@ pub enum ConfigError {
         /// Human-readable constraint, e.g. "must be a perfect square".
         requirement: &'static str,
     },
-    /// An injection rate outside `0.0 ..= 1.0` flits/cycle/node.
+    /// An injection rate (packets/cycle/node) that is negative, not a
+    /// number, or offers more than 1 flit/cycle/node once multiplied by
+    /// the packet length.
     BadInjectionRate {
-        /// Offending rate.
+        /// Offending rate, in packets/cycle/node.
         rate: f64,
     },
     /// Packet length must be at least one flit.
@@ -65,7 +67,11 @@ impl fmt::Display for ConfigError {
                 write!(f, "unsupported node count {nodes}: {requirement}")
             }
             ConfigError::BadInjectionRate { rate } => {
-                write!(f, "injection rate must lie in [0, 1] flits/cycle/node, got {rate}")
+                write!(
+                    f,
+                    "injection rate must be >= 0 packets/cycle/node with rate × packet_len \
+                     <= 1 flit/cycle/node, got {rate} packets/cycle/node"
+                )
             }
             ConfigError::ZeroPacketLength => write!(f, "packet length must be at least one flit"),
         }

@@ -38,6 +38,7 @@
 
 pub mod barrier;
 mod channel;
+mod engine;
 mod network;
 pub mod runner;
 pub mod shard;

@@ -11,6 +11,18 @@
 //! the end of cycle `t`, so a single end-of-cycle exchange per neighbour
 //! pair is enough and no rollback is ever needed.
 //!
+//! # One pipeline, many shards
+//!
+//! Each worker runs the same cycle pipeline (phases 2–5: source
+//! injection, delivery, router stepping, fan-out) that serial stepping
+//! runs — serial is simply the one-shard case, driven inline over the
+//! whole network. Activity gating is not a separate code path either: a
+//! gated shard takes its deliveries from its wake calendar and its work
+//! from its active set, an ungated one from an exhaustive sweep of its
+//! pipes and routers. What this module adds around the pipeline is only
+//! the exchange: staged packets and inbound mailboxes before it, the
+//! boundary scan and record hand-off after it.
+//!
 //! # Cycle protocol
 //!
 //! **One barrier per cycle** (a [`SpinBarrier`] over `shards + 1`
@@ -21,10 +33,10 @@
 //! 1. merges cycle `t − 1`'s ejection records shard-by-shard in ascending
 //!    shard order (which *is* ascending router order, so statistics
 //!    accumulate in exactly the serial order), and
-//! 2. runs phase 1 traffic generation for cycle `t + 1` in serial node
-//!    order, batching each shard's packets into a coordinator-owned
-//!    staging buffer that is swapped into the shared slot with **one**
-//!    lock acquisition per shard per cycle.
+//! 2. runs phase 1 traffic generation for cycle `t + 1` — the serial
+//!    generator, in serial node order — batching each shard's packets
+//!    into a coordinator-owned staging buffer that is swapped into the
+//!    shared slot with **one** lock acquisition per shard per cycle.
 //!
 //! Then everybody meets at the single end-of-cycle barrier and the next
 //! cycle begins. The lookahead is safe because the inputs of cycle `t`
@@ -34,10 +46,9 @@
 //! staging buffer mid-write.
 //!
 //! Workers, per cycle `t`: drain staged packets and inbound cross-shard
-//! mailboxes, execute the shard-local copy of the serial step (gated or
-//! ungated, phases 2–5), then pop every boundary pipe up to `t + 1` into
-//! the destination shard's mailbox for the next cycle, and publish the
-//! cycle's ejection records. — *barrier* —
+//! mailboxes, run the pipeline over the shard, then pop every boundary
+//! pipe up to `t + 1` into the destination shard's mailbox for the next
+//! cycle, and publish the cycle's ejection records. — *barrier* —
 //!
 //! Mailboxes, staging slots, and record slots are all double-buffered by
 //! cycle parity, so the side that fills a cycle-`t + 1` buffer never
@@ -70,30 +81,22 @@
 //!   `NetworkStats` accumulation order exactly; all accumulation is
 //!   integer, so no floating-point reassociation can leak in.
 //!
-//! Activity gating runs unchanged inside each shard: the wake calendar,
-//! active set, retention, and idle replay are all per-router state, and a
-//! cross-shard delivery wakes the receiving router the same cycle it
-//! would have in a serial run. On entry and exit the calendars are
-//! rebuilt from pipe contents ([`Pipe::dues`]), so a simulation can move
-//! freely between the serial and sharded schedulers mid-run.
+//! The wake calendar, active set, retention, and idle replay are all
+//! per-router state, and a cross-shard delivery wakes the receiving
+//! router the same cycle it would have in a serial run. On entry and exit
+//! the calendars are rebuilt from pipe contents
+//! ([`Pipe::dues`](crate::Pipe::dues)) by the same routine — per shard on
+//! entry, over the whole network on exit — so a simulation can move
+//! freely between serial and sharded stepping mid-run.
 
 use crate::barrier::{PoisonOnPanic, SpinBarrier, SpinWaiter};
-use crate::channel::Pipe;
-use crate::network::{
-    CreditDest, EjectedPacket, GatingState, NetworkSim, WakeEvent, WAKE_RING,
-};
-use crate::source::SourceQueue;
+use crate::engine::{activate, health_gauges, Fabric, Records, Shard, ShardState};
+use crate::network::{CreditDest, NetworkSim, Traffic};
 use crate::stats::NetworkStats;
 use std::sync::Mutex;
-use vix_core::{
-    Cycle, Flit, NodeId, PacketDescriptor, PacketId, PortId, RouterId, SimConfig,
-    TelemetrySettings, VcId,
-};
-use vix_rng::rngs::StdRng;
-use vix_router::{Router, RouterOutput};
-use vix_telemetry::{HealthBoard, Profiler, SpanKind, SpanStart, TelemetrySink};
+use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, RouterId, SimConfig, VcId};
+use vix_telemetry::{HealthBoard, Profiler, SpanKind, TelemetrySink};
 use vix_topology::Topology;
-use vix_traffic::{BernoulliInjector, TrafficPattern};
 
 /// A partition of the router graph into contiguous, balanced shards.
 ///
@@ -252,44 +255,18 @@ impl ShardPlan {
     }
 }
 
-/// A flit link whose downstream router lives in another shard: drained
-/// by the owning shard's boundary scan instead of its wake calendar.
+/// A link whose receiving router lives in another shard: drained by the
+/// owning shard's boundary scan instead of its wake calendar.
 #[derive(Debug, Clone, Copy)]
-struct FlitBoundary {
+struct Boundary {
+    /// Router (global index) and port the pipe leaves from.
     from: usize,
     port: usize,
-    down: RouterId,
-    down_port: PortId,
+    /// Receiving router and port: downstream input port for a flit link,
+    /// upstream output port for a credit link.
+    to: RouterId,
+    to_port: PortId,
     dst_shard: usize,
-}
-
-/// A credit link whose upstream router lives in another shard.
-#[derive(Debug, Clone, Copy)]
-struct CreditBoundary {
-    from: usize,
-    port: usize,
-    up: RouterId,
-    up_port: PortId,
-    dst_shard: usize,
-}
-
-/// One ejection as the serial path would have recorded it into
-/// [`NetworkStats`]; replayed by the coordinator in merge order.
-#[derive(Debug, Clone, Copy)]
-struct StatRecord {
-    source: NodeId,
-    is_tail: bool,
-    created_at: Cycle,
-    at: Cycle,
-}
-
-/// One cycle's observable output of one shard, swapped to the
-/// coordinator through a `Mutex` (uncontended: the two sides touch it in
-/// barrier-separated windows).
-#[derive(Debug, Default)]
-struct CycleOut {
-    recs: Vec<StatRecord>,
-    ejects: Vec<EjectedPacket>,
 }
 
 /// `grid[dst][src]`: one locked delivery queue per ordered shard pair.
@@ -319,64 +296,16 @@ impl Mailboxes {
     }
 }
 
-/// One worker thread's owned slice of the network plus its private
-/// scheduler state. Router, pipe, and source indices arriving from
-/// shared structures are global; the `router_off` / `node_off` offsets
-/// translate them into the local slices.
+/// One worker thread: its shard of the cycle pipeline plus the links it
+/// exchanges with the other shards.
 struct ShardWorker<'a> {
     idx: usize,
-    cfg: SimConfig,
-    plan: &'a ShardPlan,
-    topology: &'a dyn Topology,
-    /// Shared precomputed routing table (read-only across shards).
-    routes: &'a crate::network::RouteTable,
-    router_off: usize,
-    node_off: usize,
-    routers: &'a mut [Router],
-    flit_pipes: &'a mut [Vec<Option<Pipe<Flit>>>],
-    credit_pipes: &'a mut [Vec<Pipe<VcId>>],
-    credit_dests: &'a [Vec<CreditDest>],
-    inject_pipes: &'a mut [Pipe<Flit>],
-    sources: &'a mut [SourceQueue],
-    flit_boundary: Vec<FlitBoundary>,
-    credit_boundary: Vec<CreditBoundary>,
-    /// Shard-local gating state (globally indexed; only this shard's
-    /// entries are ever touched).
-    gating: GatingState,
-    out: RouterOutput,
-    /// Disabled sink: telemetry-recording runs never reach the sharded
-    /// engine (see [`NetworkSim::effective_shards`]).
-    sink: TelemetrySink,
-    /// This shard's engine self-profiler (its own flame track), sharing
-    /// the coordinator's epoch; `None` when profiling is off. Profiling
-    /// only reads the host clock, so — unlike the recording sink above —
-    /// it runs fine under the sharded engine.
-    prof: Option<Box<Profiler>>,
-    recs: Vec<StatRecord>,
-    ejects: Vec<EjectedPacket>,
+    shard: Shard<'a>,
+    flit_boundary: Vec<Boundary>,
+    credit_boundary: Vec<Boundary>,
 }
 
 impl ShardWorker<'_> {
-    /// Starts a profiling span chain (no clock read when profiling is
-    /// off).
-    #[inline]
-    fn sp_start(&self) -> SpanStart {
-        match &self.prof {
-            Some(p) => p.start(),
-            None => SpanStart::DISABLED,
-        }
-    }
-
-    /// Closes the span begun at `from` as `kind` for cycle `t` and
-    /// starts the next one at the same instant.
-    #[inline]
-    fn sp_lap(&mut self, kind: SpanKind, t: u64, from: SpanStart) -> SpanStart {
-        match &mut self.prof {
-            Some(p) => p.lap(kind, t, from),
-            None => SpanStart::DISABLED,
-        }
-    }
-
     /// Publishes this shard's cumulative busy/barrier wall-clock to the
     /// health board every cycle (two relaxed stores), plus the
     /// heartbeat-cycle gauges (router steps, wake-calendar depth,
@@ -384,71 +313,41 @@ impl ShardWorker<'_> {
     /// before the end-of-cycle barrier, which orders the stores ahead of
     /// the coordinator's reads.
     fn publish_health(&self, board: &HealthBoard, t: u64, beat_every: u64) {
-        let Some(p) = &self.prof else { return };
+        let st = &*self.shard.st;
+        let Some(p) = &st.prof else { return };
         let (busy, barrier) = p.own_busy_barrier_ns();
         board.publish_time(self.idx, busy, barrier);
         if beat_every > 0 && (t + 1).is_multiple_of(beat_every) {
-            let wake: u64 = if self.cfg.activity_gating {
-                self.gating.calendar.iter().map(|slot| slot.len() as u64).sum()
-            } else {
-                0
-            };
-            let buffered: u64 = self.routers.iter().map(|r| r.buffered_flits() as u64).sum();
-            board.publish_gauges(self.idx, self.gating.router_steps, wake, buffered);
+            let (wake, buffered) = health_gauges(&st.gating, self.shard.fab.routers);
+            board.publish_gauges(self.idx, st.gating.router_steps, wake, buffered);
         }
     }
 
-    /// Rebuilds this shard's wake calendar from the contents of its own
-    /// pipes. Every in-flight item's due cycle lies within `WAKE_RING`
-    /// of `now`, so slots never alias. Boundary pipes are skipped — the
-    /// unconditional boundary scan replaces their calendar events.
-    fn rebuild_calendar(&mut self) {
-        for (i, pipe) in self.inject_pipes.iter().enumerate() {
-            let n = self.node_off + i;
-            for due in pipe.dues() {
-                self.gating.inject_sched[n] = due;
-                self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                    .push(WakeEvent::Inject(n));
+    /// Moves everything this shard's boundary pipes deliver by `due` into
+    /// the receiving shards' mailboxes for cycle `due`.
+    fn send_boundary(&mut self, due: Cycle, mail: &Mailboxes) {
+        let (parity, r0) = ((due.0 % 2) as usize, self.shard.st.routers.start);
+        for b in &self.flit_boundary {
+            let pipe = self.shard.fab.flit_pipes[b.from - r0][b.port]
+                .as_mut()
+                .expect("boundary port is connected");
+            if pipe.has_ready(due) {
+                let mut outbox = mail.flits[parity][b.dst_shard][self.idx]
+                    .lock()
+                    .expect("receiver not panicked");
+                while let Some(flit) = pipe.pop_ready(due) {
+                    outbox.push((b.to, b.to_port, flit));
+                }
             }
         }
-        for ri in 0..self.routers.len() {
-            let r = self.router_off + ri;
-            for p in 0..self.flit_pipes[ri].len() {
-                let Some(pipe) = self.flit_pipes[ri][p].as_ref() else { continue };
-                if pipe.is_empty() {
-                    continue;
-                }
-                let (down, _) = self
-                    .topology
-                    .neighbor(RouterId(r), PortId(p))
-                    .expect("flit pipe exists only on connected ports");
-                if self.plan.shard_of_router(down.0) != self.idx {
-                    continue;
-                }
-                for due in pipe.dues() {
-                    self.gating.flit_sched[r][p] = due;
-                    self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                        .push(WakeEvent::FlitLink(r, p));
-                }
-            }
-            for p in 0..self.credit_pipes[ri].len() {
-                if self.credit_pipes[ri][p].is_empty() {
-                    continue;
-                }
-                let local = match self.credit_dests[ri][p] {
-                    CreditDest::Upstream(ur, _) => self.plan.shard_of_router(ur.0) == self.idx,
-                    CreditDest::Source(_) => true,
-                    CreditDest::Unconnected => {
-                        unreachable!("credit in flight on unconnected port {p} of router {r}")
-                    }
-                };
-                if !local {
-                    continue;
-                }
-                for due in self.credit_pipes[ri][p].dues() {
-                    self.gating.credit_sched[r][p] = due;
-                    self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                        .push(WakeEvent::CreditLink(r, p));
+        for b in &self.credit_boundary {
+            let pipe = &mut self.shard.fab.credit_pipes[b.from - r0][b.port];
+            if pipe.has_ready(due) {
+                let mut outbox = mail.credits[parity][b.dst_shard][self.idx]
+                    .lock()
+                    .expect("receiver not panicked");
+                while let Some(vc) = pipe.pop_ready(due) {
+                    outbox.push((b.to, b.to_port, vc));
                 }
             }
         }
@@ -470,442 +369,80 @@ impl ShardWorker<'_> {
         last: bool,
         mail: &Mailboxes,
         staged: &Mutex<Vec<PacketDescriptor>>,
-        out_slot: &Mutex<CycleOut>,
+        out_slot: &Mutex<Records>,
     ) {
-        let now = Cycle(t);
-        let gated = self.cfg.activity_gating;
+        let (r0, n0) = (self.shard.st.routers.start, self.shard.st.nodes.start);
         // Profiling lap chain: staged/mailbox drains and the boundary
-        // scan are `Exchange`; the step phases lap themselves.
-        let mut span = self.sp_start();
+        // scan are `Exchange`; the pipeline phases lap themselves.
+        let mut span = self.shard.span_start();
 
-        // 0. Packets the coordinator generated for this cycle (phase 1).
+        // Packets the coordinator generated for this cycle (phase 1).
         for packet in staged.lock().expect("no panic while staging").drain(..) {
-            self.sources[packet.source.0 - self.node_off].enqueue(packet);
+            self.shard.fab.sources[packet.source.0 - n0].enqueue(packet);
         }
 
-        // 1. Inbound cross-shard deliveries due this cycle. Flit
-        // deliveries wake the receiving router exactly as a calendar
-        // event would; credits follow the credit-no-wake rule.
+        // Inbound cross-shard deliveries due this cycle. Flit deliveries
+        // wake the receiving router exactly as a calendar event would;
+        // credits never wake one.
         let parity = (t % 2) as usize;
-        for src in 0..self.plan.shards() {
-            if src == self.idx {
-                continue;
+        let inbox = mail.flits[parity][self.idx].iter().zip(&mail.credits[parity][self.idx]);
+        for (flits, credits) in inbox {
+            for (down, port, flit) in flits.lock().expect("sender not panicked").drain(..) {
+                self.shard.fab.routers[down.0 - r0].accept_flit(port, flit);
+                self.shard.wake(down.0, t);
             }
-            {
-                let mut inbox =
-                    mail.flits[parity][self.idx][src].lock().expect("sender not panicked");
-                for (down, port, flit) in inbox.drain(..) {
-                    self.routers[down.0 - self.router_off].accept_flit(port, flit);
-                    if gated {
-                        NetworkSim::activate(
-                            &mut self.gating.active_mark,
-                            &mut self.gating.work,
-                            down.0,
-                            t,
-                        );
-                    }
-                }
-            }
-            let mut inbox =
-                mail.credits[parity][self.idx][src].lock().expect("sender not panicked");
-            for (up, port, vc) in inbox.drain(..) {
-                self.routers[up.0 - self.router_off].credit_return(port, vc);
+            for (up, port, vc) in credits.lock().expect("sender not panicked").drain(..) {
+                self.shard.fab.routers[up.0 - r0].credit_return(port, vc);
             }
         }
+        span = self.shard.lap(SpanKind::Exchange, t, span);
 
-        span = self.sp_lap(SpanKind::Exchange, t, span);
+        // Phases 2–5: the cycle pipeline over this shard.
+        span = self.shard.step(Cycle(t), span);
 
-        // 2–5. The serial step restricted to this shard.
-        span = if gated { self.step_gated(now, span) } else { self.step_ungated(now, span) };
-
-        // 6. Boundary scan: everything a cross-shard pipe will deliver
-        // at `t + 1` is final now (this cycle's pushes are due ≥ t + 2,
+        // Boundary scan: everything a cross-shard pipe will deliver at
+        // `t + 1` is final now (this cycle's pushes are due ≥ t + 2,
         // since every inter-router pipe has ≥ 2 cycles of latency), so
         // hand it to the destination shard's next-cycle mailbox.
-        if last {
-            let mut slot = out_slot.lock().expect("coordinator not panicked");
-            std::mem::swap(&mut slot.recs, &mut self.recs);
-            std::mem::swap(&mut slot.ejects, &mut self.ejects);
-            drop(slot);
-            self.sp_lap(SpanKind::Exchange, t, span);
-            return;
-        }
-        let next_parity = ((t + 1) % 2) as usize;
-        for b in &self.flit_boundary {
-            let pipe = self.flit_pipes[b.from - self.router_off][b.port]
-                .as_mut()
-                .expect("boundary port is connected");
-            if !pipe.has_ready(Cycle(t + 1)) {
-                continue;
-            }
-            let mut outbox = mail.flits[next_parity][b.dst_shard][self.idx]
-                .lock()
-                .expect("receiver not panicked");
-            while let Some(flit) = pipe.pop_ready(Cycle(t + 1)) {
-                outbox.push((b.down, b.down_port, flit));
-            }
-        }
-        for b in &self.credit_boundary {
-            let pipe = &mut self.credit_pipes[b.from - self.router_off][b.port];
-            if !pipe.has_ready(Cycle(t + 1)) {
-                continue;
-            }
-            let mut outbox = mail.credits[next_parity][b.dst_shard][self.idx]
-                .lock()
-                .expect("receiver not panicked");
-            while let Some(vc) = pipe.pop_ready(Cycle(t + 1)) {
-                outbox.push((b.up, b.up_port, vc));
-            }
+        if !last {
+            self.send_boundary(Cycle(t + 1), mail);
         }
 
-        // 7. Hand this cycle's records to the coordinator. The swap gets
-        // back the vectors the coordinator drained last cycle, keeping
-        // the steady state allocation-free.
-        {
-            let mut slot = out_slot.lock().expect("coordinator not panicked");
-            std::mem::swap(&mut slot.recs, &mut self.recs);
-            std::mem::swap(&mut slot.ejects, &mut self.ejects);
-        }
-        self.sp_lap(SpanKind::Exchange, t, span);
-    }
-
-    /// Phases 2–5 of the ungated serial step over this shard's routers.
-    /// Boundary pipes never have anything due mid-cycle (the boundary
-    /// scan drained through `t` at the end of cycle `t − 1`), so the
-    /// sweep naturally skips them.
-    fn step_ungated(&mut self, now: Cycle, mut span: SpanStart) -> SpanStart {
-        let warm_plus_measure = self.cfg.warmup + self.cfg.measure;
-        let in_window = now.0 >= self.cfg.warmup && now.0 < warm_plus_measure;
-        let radix = self.topology.radix();
-
-        // 2. Sources stream flits toward their routers.
-        for i in 0..self.sources.len() {
-            let router = self.topology.router_of(NodeId(self.node_off + i));
-            let routes = self.routes;
-            let resolve = |dest: NodeId| routes.resolve(router, dest);
-            if let Some(flit) = self.sources[i].try_send(now, resolve) {
-                self.inject_pipes[i].push(now, flit);
-            }
-        }
-        span = self.sp_lap(SpanKind::SourceInject, now.0, span);
-
-        // 3. Deliver flits due this cycle.
-        for i in 0..self.inject_pipes.len() {
-            let node = NodeId(self.node_off + i);
-            let router = self.topology.router_of(node);
-            let port = self.topology.local_port_of(node);
-            while let Some(flit) = self.inject_pipes[i].pop_ready(now) {
-                self.routers[router.0 - self.router_off].accept_flit(port, flit);
-            }
-        }
-        for ri in 0..self.routers.len() {
-            let r = self.router_off + ri;
-            for p in 0..radix {
-                let Some(pipe) = self.flit_pipes[ri][p].as_mut() else { continue };
-                if !pipe.has_ready(now) {
-                    continue;
-                }
-                let (down, down_port) = self
-                    .topology
-                    .neighbor(RouterId(r), PortId(p))
-                    .expect("flit pipe exists only on connected ports");
-                debug_assert_eq!(
-                    self.plan.shard_of_router(down.0),
-                    self.idx,
-                    "boundary pipe had a delivery due mid-cycle"
-                );
-                while let Some(flit) =
-                    self.flit_pipes[ri][p].as_mut().expect("checked above").pop_ready(now)
-                {
-                    self.routers[down.0 - self.router_off].accept_flit(down_port, flit);
-                }
-            }
-        }
-        span = self.sp_lap(SpanKind::Deliver, now.0, span);
-
-        // 4. Deliver credits due this cycle.
-        for ri in 0..self.routers.len() {
-            for p in 0..radix {
-                if !self.credit_pipes[ri][p].has_ready(now) {
-                    continue;
-                }
-                match self.credit_dests[ri][p] {
-                    CreditDest::Upstream(ur, up) => {
-                        while let Some(vc) = self.credit_pipes[ri][p].pop_ready(now) {
-                            self.routers[ur.0 - self.router_off].credit_return(up, vc);
-                        }
-                    }
-                    CreditDest::Source(node) => {
-                        while let Some(vc) = self.credit_pipes[ri][p].pop_ready(now) {
-                            self.sources[node.0 - self.node_off].credit_return(vc);
-                        }
-                    }
-                    CreditDest::Unconnected => {
-                        unreachable!("credit on unconnected port {p} of shard router {ri}")
-                    }
-                }
-            }
-        }
-        span = self.sp_lap(SpanKind::CreditDeliver, now.0, span);
-
-        // 5. Clock every router in the shard, ascending.
-        let mut out = std::mem::take(&mut self.out);
-        for ri in 0..self.routers.len() {
-            let r = self.router_off + ri;
-            self.routers[ri].step_into(now, &mut out, &mut self.sink);
-            self.gating.router_steps += 1;
-            self.fan_out(r, now, in_window, &mut out, false);
-        }
-        self.out = out;
-        self.sp_lap(SpanKind::RouterStep, now.0, span)
-    }
-
-    /// Phases 2–5 of the activity-gated serial step over this shard.
-    fn step_gated(&mut self, now: Cycle, mut span: SpanStart) -> SpanStart {
-        let warm_plus_measure = self.cfg.warmup + self.cfg.measure;
-        let in_window = now.0 >= self.cfg.warmup && now.0 < warm_plus_measure;
-
-        // 2. Sources; a push schedules the injection link's delivery.
-        for i in 0..self.sources.len() {
-            let n = self.node_off + i;
-            let router = self.topology.router_of(NodeId(n));
-            let routes = self.routes;
-            let resolve = |dest: NodeId| routes.resolve(router, dest);
-            if let Some(flit) = self.sources[i].try_send(now, resolve) {
-                self.inject_pipes[i].push(now, flit);
-                let due = now.0 + 1;
-                if self.gating.inject_sched[n] != due {
-                    self.gating.inject_sched[n] = due;
-                    self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                        .push(WakeEvent::Inject(n));
-                }
-            }
-        }
-        span = self.sp_lap(SpanKind::SourceInject, now.0, span);
-
-        // 3 + 4. Drain this cycle's calendar slot (intra-shard events
-        // only by construction; boundary traffic arrived via mailboxes).
-        let slot = (now.0 % WAKE_RING as u64) as usize;
-        let mut events = std::mem::take(&mut self.gating.calendar[slot]);
-        for &ev in &events {
-            match ev {
-                WakeEvent::Inject(n) => {
-                    let node = NodeId(n);
-                    let router = self.topology.router_of(node);
-                    let port = self.topology.local_port_of(node);
-                    while let Some(flit) = self.inject_pipes[n - self.node_off].pop_ready(now) {
-                        self.routers[router.0 - self.router_off].accept_flit(port, flit);
-                    }
-                    NetworkSim::activate(
-                        &mut self.gating.active_mark,
-                        &mut self.gating.work,
-                        router.0,
-                        now.0,
-                    );
-                }
-                WakeEvent::FlitLink(r, p) => {
-                    let (down, down_port) = self
-                        .topology
-                        .neighbor(RouterId(r), PortId(p))
-                        .expect("flit pipe exists only on connected ports");
-                    while let Some(flit) = self.flit_pipes[r - self.router_off][p]
-                        .as_mut()
-                        .expect("connected port has a pipe")
-                        .pop_ready(now)
-                    {
-                        self.routers[down.0 - self.router_off].accept_flit(down_port, flit);
-                    }
-                    NetworkSim::activate(
-                        &mut self.gating.active_mark,
-                        &mut self.gating.work,
-                        down.0,
-                        now.0,
-                    );
-                }
-                WakeEvent::CreditLink(r, p) => {
-                    let ri = r - self.router_off;
-                    match self.credit_dests[ri][p] {
-                        CreditDest::Upstream(ur, up) => {
-                            while let Some(vc) = self.credit_pipes[ri][p].pop_ready(now) {
-                                self.routers[ur.0 - self.router_off].credit_return(up, vc);
-                            }
-                        }
-                        CreditDest::Source(node) => {
-                            while let Some(vc) = self.credit_pipes[ri][p].pop_ready(now) {
-                                self.sources[node.0 - self.node_off].credit_return(vc);
-                            }
-                        }
-                        CreditDest::Unconnected => {
-                            unreachable!("credit on unconnected port {p} of router {r}")
-                        }
-                    }
-                }
-            }
-        }
-        events.clear();
-        self.gating.calendar[slot] = events;
-        span = self.sp_lap(SpanKind::Deliver, now.0, span);
-
-        // 5. Step the active routers in ascending order.
-        let mut out = std::mem::take(&mut self.out);
-        let mut work = std::mem::take(&mut self.gating.work);
-        work.sort_unstable();
-        for &r in &work {
-            let ri = r - self.router_off;
-            let was_quiescent = self.routers[ri].is_quiescent();
-            let gap = now.0 - self.gating.stepped_until[r];
-            if gap > 0 {
-                self.routers[ri].note_idle_cycles(gap);
-            }
-            self.routers[ri].step_into(now, &mut out, &mut self.sink);
-            self.gating.router_steps += 1;
-            self.gating.stepped_until[r] = now.0 + 1;
-            self.fan_out(r, now, in_window, &mut out, true);
-            if !(was_quiescent && self.routers[ri].is_quiescent()) {
-                NetworkSim::activate(
-                    &mut self.gating.active_mark,
-                    &mut self.gating.pending,
-                    r,
-                    now.0 + 1,
-                );
-            }
-        }
-        work.clear();
-        self.gating.work = work;
-        std::mem::swap(&mut self.gating.work, &mut self.gating.pending);
-        self.out = out;
-        self.sp_lap(SpanKind::RouterStep, now.0, span)
-    }
-
-    /// Fans one router's step outputs out to ejection records and link
-    /// pipes. With `gated` set, intra-shard pushes schedule calendar
-    /// events; boundary pushes schedule nothing — the boundary scan
-    /// visits those pipes unconditionally.
-    fn fan_out(&mut self, r: usize, now: Cycle, in_window: bool, out: &mut RouterOutput, gated: bool) {
-        let ri = r - self.router_off;
-        for (p, mut flit) in out.flits.drain(..) {
-            if self.topology.is_local_port(p) {
-                debug_assert_eq!(
-                    self.topology.node_at(RouterId(r), p),
-                    Some(flit.packet.dest),
-                    "flit ejected at the wrong terminal"
-                );
-                if in_window {
-                    self.recs.push(StatRecord {
-                        source: flit.packet.source,
-                        is_tail: flit.is_tail(),
-                        created_at: flit.packet.created_at,
-                        at: now,
-                    });
-                }
-                if flit.is_tail() {
-                    self.ejects.push(EjectedPacket { packet: flit.packet, at: now });
-                }
-            } else {
-                let (down, _) = self
-                    .topology
-                    .neighbor(RouterId(r), p)
-                    .expect("route uses connected ports");
-                let (out_port, lookahead, _) = self.routes.resolve(down, flit.packet.dest);
-                flit.set_route(out_port, lookahead);
-                self.flit_pipes[ri][p.0]
-                    .as_mut()
-                    .expect("connected port has a pipe")
-                    .push(now, flit);
-                if gated && self.plan.shard_of_router(down.0) == self.idx {
-                    let due = now.0 + crate::FLIT_LATENCY;
-                    if self.gating.flit_sched[r][p.0] != due {
-                        self.gating.flit_sched[r][p.0] = due;
-                        self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                            .push(WakeEvent::FlitLink(r, p.0));
-                    }
-                }
-            }
-        }
-        for (p, vc) in out.credits.drain(..) {
-            self.credit_pipes[ri][p.0].push(now, vc);
-            if gated {
-                let local = match self.credit_dests[ri][p.0] {
-                    CreditDest::Upstream(ur, _) => self.plan.shard_of_router(ur.0) == self.idx,
-                    CreditDest::Source(_) => true,
-                    CreditDest::Unconnected => {
-                        unreachable!("credit on unconnected port {p} of router {r}")
-                    }
-                };
-                if local {
-                    let due = now.0 + crate::CREDIT_LATENCY;
-                    if self.gating.credit_sched[r][p.0] != due {
-                        self.gating.credit_sched[r][p.0] = due;
-                        self.gating.calendar[(due % WAKE_RING as u64) as usize]
-                            .push(WakeEvent::CreditLink(r, p.0));
-                    }
-                }
-            }
-        }
+        // Hand this cycle's records to the coordinator. The swap gets back
+        // the buffers the coordinator drained last cycle, keeping the
+        // steady state allocation-free.
+        std::mem::swap(
+            &mut *out_slot.lock().expect("coordinator not panicked"),
+            &mut self.shard.st.records,
+        );
+        self.shard.lap(SpanKind::Exchange, t, span);
     }
 }
 
-/// Replays one cycle's per-shard ejection records into the network's
-/// statistics, in shard order = ascending router order = serial order.
-fn merge_cycle(outs: &[Mutex<CycleOut>], stats: &mut NetworkStats, ejected: &mut Vec<EjectedPacket>) {
-    for slot in outs {
-        let mut out = slot.lock().expect("worker not panicked");
-        for rec in out.recs.drain(..) {
-            stats.record_ejection(rec.source, rec.is_tail, rec.created_at, rec.at);
-        }
-        ejected.append(&mut out.ejects);
-    }
-}
-
-/// Phase 1 traffic generation for cycle `u`, run by the coordinator one
-/// cycle ahead of the workers. Draws from the run's single RNG in serial
-/// node order — so the random stream, packet-id sequence, and
-/// offered-packet count are exactly what the serial `step()` for cycle
-/// `u` would produce — batching each shard's packets into a
-/// coordinator-owned buffer that is then swapped into the shared staging
+/// Phase 1 for cycle `u`, run by the coordinator one cycle ahead of the
+/// workers: the serial generator, with each shard's packets batched into
+/// a coordinator-owned buffer that is then swapped into the shared staging
 /// slot with one lock acquisition per (non-idle) shard.
 ///
-/// The caller guarantees `u < warmup + measure` (generation stops with
-/// the serial schedule) and that slot `staged[...]` was drained by its
-/// worker two cycles ago, so the swap hands back an empty vector and the
-/// steady state stays allocation-free.
-#[allow(clippy::too_many_arguments)]
-fn generate_cycle(
-    u: u64,
+/// The caller guarantees that slot `staged[...]` was drained by its worker
+/// two cycles ago, so the swap hands back an empty vector and the steady
+/// state stays allocation-free.
+fn stage_cycle(
+    traffic: &mut Traffic,
     cfg: &SimConfig,
-    plan: &ShardPlan,
-    injector: &BernoulliInjector,
-    pattern: &TrafficPattern,
-    rng: &mut StdRng,
-    next_packet: &mut u64,
     stats: &mut NetworkStats,
+    u: u64,
+    plan: &ShardPlan,
     gen_bufs: &mut [Vec<PacketDescriptor>],
     staged: &[Mutex<Vec<PacketDescriptor>>],
 ) {
-    let nodes_total = cfg.network.nodes;
-    let in_window = u >= cfg.warmup;
-    for n in 0..nodes_total {
-        if injector.fires(rng) {
-            let dest = pattern.pick_dest(NodeId(n), nodes_total, rng);
-            let packet = PacketDescriptor::new(
-                PacketId(*next_packet),
-                NodeId(n),
-                dest,
-                cfg.packet_len,
-                Cycle(u),
-            );
-            *next_packet += 1;
-            gen_bufs[plan.shard_of_node(n)].push(packet);
-            if in_window {
-                stats.record_offered(1);
-            }
-        }
-    }
+    traffic.generate_cycle(u, cfg, stats, |packet| {
+        gen_bufs[plan.shard_of_node(packet.source.0)].push(packet);
+    });
     for (buf, slot) in gen_bufs.iter_mut().zip(staged) {
-        if buf.is_empty() {
-            continue;
+        if !buf.is_empty() {
+            std::mem::swap(&mut *slot.lock().expect("worker not panicked"), buf);
         }
-        std::mem::swap(&mut *slot.lock().expect("worker not panicked"), buf);
     }
 }
 
@@ -936,195 +473,122 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     let radix = sim.topology.radix();
     let routers_total = sim.routers.len();
     let nodes_total = sim.cfg.network.nodes;
-    let gated = sim.cfg.activity_gating;
-
-    // Classify every link once; boundary lists are grouped by the shard
-    // that owns (and therefore drains) the pipe.
-    let mut flit_boundary: Vec<Vec<FlitBoundary>> = vec![Vec::new(); shards];
-    let mut credit_boundary: Vec<Vec<CreditBoundary>> = vec![Vec::new(); shards];
-    for r in 0..routers_total {
-        let s = plan.shard_of_router(r);
-        for p in 0..radix {
-            if sim.flit_pipes[r][p].is_some() {
-                let (down, down_port) = sim
-                    .topology
-                    .neighbor(RouterId(r), PortId(p))
-                    .expect("flit pipe exists only on connected ports");
-                let dst_shard = plan.shard_of_router(down.0);
-                if dst_shard != s {
-                    flit_boundary[s].push(FlitBoundary {
-                        from: r,
-                        port: p,
-                        down,
-                        down_port,
-                        dst_shard,
-                    });
-                }
-            }
-            if let CreditDest::Upstream(up, up_port) = sim.credit_dests[r][p] {
-                let dst_shard = plan.shard_of_router(up.0);
-                if dst_shard != s {
-                    credit_boundary[s].push(CreditBoundary {
-                        from: r,
-                        port: p,
-                        up,
-                        up_port,
-                        dst_shard,
-                    });
-                }
-            }
-        }
-    }
-
-    // Pre-scan: deliveries already due at `start` on boundary pipes
-    // would normally have been exchanged at the end of cycle `start − 1`
-    // (which ran under a different scheduler), so stage them now.
-    let mail = Mailboxes::new(shards);
-    let parity0 = (start % 2) as usize;
-    for s in 0..shards {
-        for b in &flit_boundary[s] {
-            let pipe = sim.flit_pipes[b.from][b.port].as_mut().expect("boundary port connected");
-            while let Some(flit) = pipe.pop_ready(Cycle(start)) {
-                mail.flits[parity0][b.dst_shard][s]
-                    .lock()
-                    .expect("unshared yet")
-                    .push((b.down, b.down_port, flit));
-            }
-        }
-        for b in &credit_boundary[s] {
-            let pipe = &mut sim.credit_pipes[b.from][b.port];
-            while let Some(vc) = pipe.pop_ready(Cycle(start)) {
-                mail.credits[parity0][b.dst_shard][s]
-                    .lock()
-                    .expect("unshared yet")
-                    .push((b.up, b.up_port, vc));
-            }
-        }
-    }
 
     // Engine self-profiling: each worker gets its own span track (no
     // sharing, no locks on the hot path); health gauges ride a lock-free
     // atomic board the coordinator samples on the heartbeat interval.
     let profiling = sim.telemetry.profiling();
-    let epoch = sim.telemetry.profiler().map(vix_telemetry::Profiler::epoch);
+    let epoch = sim.telemetry.profiler().map(Profiler::epoch);
     let span_cap = if profiling {
         (sim.cfg.telemetry.profile_span_capacity / shards).max(1024)
     } else {
         0
     };
-    let beat_every = sim.telemetry.profiler().map_or(0, vix_telemetry::Profiler::beat_every);
+    let beat_every = sim.telemetry.profiler().map_or(0, Profiler::beat_every);
     let board = profiling.then(|| HealthBoard::new(shards));
-    let steps_base = sim.gating.router_steps;
+    let steps_base = sim.sched.gating.router_steps;
 
-    // Split the network into per-shard mutable slices.
+    // Per-shard scheduler state, seeded from the serial scheduler's.
+    let serial = &sim.sched.gating;
+    let mut states: Vec<ShardState> = (0..shards)
+        .map(|s| {
+            let mut st = ShardState::new(
+                plan.router_range(s),
+                plan.node_range(s),
+                nodes_total,
+                routers_total,
+                radix,
+            );
+            st.gating.active_mark.copy_from_slice(&serial.active_mark);
+            st.gating.stepped_until.copy_from_slice(&serial.stepped_until);
+            st.gating.work.extend(serial.work.iter().filter(|r| st.routers.contains(r)));
+            st.prof = epoch.map(|e| Box::new(Profiler::for_shard(s as u32, e, span_cap, 0, false)));
+            st
+        })
+        .collect();
+    // Disabled sinks: telemetry-recording runs never reach the sharded
+    // engine (see [`NetworkSim::effective_shards`]).
+    let mut sinks: Vec<TelemetrySink> = (0..shards).map(|_| TelemetrySink::disabled()).collect();
+
+    // Split the network into per-shard mutable slices. The serial
+    // calendar interleaves shards and references boundary pipes, so each
+    // shard rebuilds its own from its pipe contents instead.
+    let mut fabric = Fabric {
+        routers: &mut sim.routers,
+        flit_pipes: &mut sim.flit_pipes,
+        credit_pipes: &mut sim.credit_pipes,
+        credit_dests: &sim.credit_dests,
+        inject_pipes: &mut sim.inject_pipes,
+        sources: &mut sim.sources,
+    };
+    let mail = Mailboxes::new(shards);
     let mut workers: Vec<ShardWorker> = Vec::with_capacity(shards);
-    {
-        let mut routers_rest: &mut [Router] = &mut sim.routers;
-        let mut flit_rest: &mut [Vec<Option<Pipe<Flit>>>] = &mut sim.flit_pipes;
-        let mut credit_rest: &mut [Vec<Pipe<VcId>>] = &mut sim.credit_pipes;
-        let mut cdest_rest: &[Vec<CreditDest>] = &sim.credit_dests;
-        let mut inject_rest: &mut [Pipe<Flit>] = &mut sim.inject_pipes;
-        let mut source_rest: &mut [SourceQueue] = &mut sim.sources;
-        for s in 0..shards {
-            let routers_here = plan.router_range(s).len();
-            let nodes_here = plan.node_range(s).len();
-            let (routers, rest) = routers_rest.split_at_mut(routers_here);
-            routers_rest = rest;
-            let (flit_pipes, rest) = flit_rest.split_at_mut(routers_here);
-            flit_rest = rest;
-            let (credit_pipes, rest) = credit_rest.split_at_mut(routers_here);
-            credit_rest = rest;
-            let (credit_dests, rest) = cdest_rest.split_at(routers_here);
-            cdest_rest = rest;
-            let (inject_pipes, rest) = inject_rest.split_at_mut(nodes_here);
-            inject_rest = rest;
-            let (sources, rest) = source_rest.split_at_mut(nodes_here);
-            source_rest = rest;
-
-            let mut gating = GatingState::new(nodes_total, routers_total, radix);
-            if gated {
-                gating.active_mark.copy_from_slice(&sim.gating.active_mark);
-                gating.stepped_until.copy_from_slice(&sim.gating.stepped_until);
-                for &r in &sim.gating.work {
-                    if plan.shard_of_router(r) == s {
-                        gating.work.push(r);
-                    }
+    for (idx, (st, sink)) in states.iter_mut().zip(&mut sinks).enumerate() {
+        let fab = fabric.split_front(st.routers.len(), st.nodes.len());
+        // Boundary links, owned (and therefore drained) by this shard.
+        let (mut flit_boundary, mut credit_boundary) = (Vec::new(), Vec::new());
+        for (r, ri) in st.routers.clone().zip(0..) {
+            for p in 0..radix {
+                let boundary = |(to, to_port): (RouterId, PortId)| {
+                    let dst_shard = plan.shard_of_router(to.0);
+                    let b = Boundary { from: r, port: p, to, to_port, dst_shard };
+                    (dst_shard != idx).then_some(b)
+                };
+                if fab.flit_pipes[ri][p].is_some() {
+                    let down = sim.topology.neighbor(RouterId(r), PortId(p));
+                    flit_boundary.extend(boundary(down.expect("flit pipe on a connected port")));
+                }
+                if let CreditDest::Upstream(up, up_port) = fab.credit_dests[ri][p] {
+                    credit_boundary.extend(boundary((up, up_port)));
                 }
             }
-            workers.push(ShardWorker {
-                idx: s,
-                cfg: sim.cfg,
-                plan: &plan,
-                topology: sim.topology.as_ref(),
-                routes: &sim.routes,
-                router_off: plan.router_range(s).start,
-                node_off: plan.node_range(s).start,
-                routers,
-                flit_pipes,
-                credit_pipes,
-                credit_dests,
-                inject_pipes,
-                sources,
-                flit_boundary: std::mem::take(&mut flit_boundary[s]),
-                credit_boundary: std::mem::take(&mut credit_boundary[s]),
-                gating,
-                out: RouterOutput::default(),
-                sink: TelemetrySink::new(TelemetrySettings::disabled()),
-                prof: epoch
-                    .map(|e| Box::new(Profiler::for_shard(s as u32, e, span_cap, 0, false))),
-                recs: Vec::new(),
-                ejects: Vec::new(),
-            });
         }
-    }
-    if gated {
-        // The serial calendar interleaves shards and references boundary
-        // pipes; rebuild each shard's calendar from its own pipe contents
-        // instead of trying to split it.
-        for w in &mut workers {
-            w.rebuild_calendar();
-        }
+        let mut shard = Shard {
+            st,
+            fab,
+            cfg: &sim.cfg,
+            topology: sim.topology.as_ref(),
+            routes: &sim.routes,
+            sink,
+        };
+        shard.rebuild_calendar();
+        let mut worker = ShardWorker { idx, shard, flit_boundary, credit_boundary };
+        // Deliveries already due at `start` on boundary pipes would
+        // normally have been exchanged at the end of cycle `start − 1`
+        // (which ran under a different scheduler), so post them now.
+        worker.send_boundary(Cycle(start), &mail);
+        workers.push(worker);
     }
 
     // Staging and record slots are double-buffered by cycle parity, like
     // the mailboxes: the coordinator fills `staged[(t + 1) % 2]` and
     // drains `outs[(t - 1) % 2]` while the workers touch only the `t % 2`
     // slots, so every lock is uncontended and taken once per cycle.
-    let staged: [Vec<Mutex<Vec<PacketDescriptor>>>; 2] = [
-        (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-        (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-    ];
-    let outs: [Vec<Mutex<CycleOut>>; 2] = [
-        (0..shards).map(|_| Mutex::new(CycleOut::default())).collect(),
-        (0..shards).map(|_| Mutex::new(CycleOut::default())).collect(),
-    ];
+    let staged: [Vec<Mutex<Vec<PacketDescriptor>>>; 2] =
+        std::array::from_fn(|_| (0..shards).map(|_| Mutex::default()).collect());
+    let outs: [Vec<Mutex<Records>>; 2] =
+        std::array::from_fn(|_| (0..shards).map(|_| Mutex::default()).collect());
     let mut gen_bufs: Vec<Vec<PacketDescriptor>> = vec![Vec::new(); shards];
     let barrier = SpinBarrier::new(shards + 1);
     let warm_plus_measure = sim.cfg.warmup + sim.cfg.measure;
+    let merge = |slots: &[Mutex<Records>], stats: &mut NetworkStats, ejected: &mut Vec<_>| {
+        // Shard order = ascending router order = serial order.
+        for slot in slots {
+            slot.lock().expect("worker not panicked").merge_into(stats, ejected);
+        }
+    };
 
     // Pipeline fill: cycle `start`'s packets are staged before the
     // workers exist (spawning publishes them), so the in-loop generation
     // can run one cycle ahead from the very first barrier.
-    if start < warm_plus_measure {
-        generate_cycle(
-            start,
-            &sim.cfg,
-            &plan,
-            &sim.injector,
-            &sim.pattern,
-            &mut sim.rng,
-            &mut sim.next_packet,
-            &mut sim.stats,
-            &mut gen_bufs,
-            &staged[(start % 2) as usize],
-        );
-    }
+    let (traffic, cfg) = (&mut sim.traffic, &sim.cfg);
+    let first = &staged[(start % 2) as usize];
+    stage_cycle(traffic, cfg, &mut sim.stats, start, &plan, &mut gen_bufs, first);
 
-    let finished: Vec<ShardWorker> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(shards);
         for mut w in workers {
-            let (barrier, mail, staged, outs) = (&barrier, &mail, &staged, &outs);
-            let board = &board;
+            let (barrier, mail, staged, outs, board) = (&barrier, &mail, &staged, &outs, &board);
             handles.push(scope.spawn(move || {
                 // A panic anywhere in the cycle body poisons the barrier
                 // on unwind, releasing the coordinator and the other
@@ -1139,17 +603,17 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
                         );
                     }
                     let parity = (t % 2) as usize;
-                    w.run_cycle(t, t + 1 == end, mail, &staged[parity][w.idx], &outs[parity][w.idx]);
+                    let (staged, out) = (&staged[parity][w.idx], &outs[parity][w.idx]);
+                    w.run_cycle(t, t + 1 == end, mail, staged, out);
                     if let Some(b) = board.as_ref() {
                         w.publish_health(b, t, beat_every);
                     }
-                    let sp = w.sp_start();
+                    let sp = w.shard.span_start();
                     if barrier.wait(&mut waiter).is_err() {
                         break;
                     }
-                    w.sp_lap(SpanKind::BarrierWait, t, sp);
+                    w.shard.lap(SpanKind::BarrierWait, t, sp);
                 }
-                w
             }));
         }
         // Coordinator: the stats/RNG owner, pipelined one cycle ahead.
@@ -1163,7 +627,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         for t in start..end {
             let mut csp = sim.telemetry.span_start();
             if t > start {
-                merge_cycle(&outs[((t - 1) % 2) as usize], &mut sim.stats, &mut sim.ejected);
+                merge(&outs[((t - 1) % 2) as usize], &mut sim.stats, &mut sim.ejected);
                 csp = sim.telemetry.span_lap(SpanKind::StatsMerge, t, csp);
             }
             // Stage cycle `t + 1`. Generation stops at the serial
@@ -1171,18 +635,8 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             // this sharded stretch — cycle `end`'s draws belong to
             // whichever engine steps cycle `end`.
             if t + 1 < end && t + 1 < warm_plus_measure {
-                generate_cycle(
-                    t + 1,
-                    &sim.cfg,
-                    &plan,
-                    &sim.injector,
-                    &sim.pattern,
-                    &mut sim.rng,
-                    &mut sim.next_packet,
-                    &mut sim.stats,
-                    &mut gen_bufs,
-                    &staged[((t + 1) % 2) as usize],
-                );
+                let next = &staged[((t + 1) % 2) as usize];
+                stage_cycle(traffic, cfg, &mut sim.stats, t + 1, &plan, &mut gen_bufs, next);
                 csp = sim.telemetry.span_lap(SpanKind::TrafficGen, t, csp);
             }
             if barrier.wait(&mut waiter).is_err() {
@@ -1193,9 +647,8 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             if beat_every > 0 && (t + 1).is_multiple_of(beat_every) {
                 if let Some(b) = board.as_ref() {
                     let busy = HealthBoard::read(&b.busy_ns);
-                    let barrier_ns = HealthBoard::read(&b.barrier_ns);
                     let shard_cum: Vec<(u64, u64)> =
-                        busy.iter().zip(&barrier_ns).map(|(&b, &w)| (b, w)).collect();
+                        busy.into_iter().zip(HealthBoard::read(&b.barrier_ns)).collect();
                     let steps =
                         steps_base + HealthBoard::read(&b.router_steps).iter().sum::<u64>();
                     let wake = HealthBoard::read(&b.wake_depth).iter().sum::<u64>();
@@ -1208,91 +661,39 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             }
         }
         if !poisoned {
-            merge_cycle(&outs[((end - 1) % 2) as usize], &mut sim.stats, &mut sim.ejected);
+            merge(&outs[((end - 1) % 2) as usize], &mut sim.stats, &mut sim.ejected);
         }
-        let mut finished = Vec::with_capacity(shards);
         for h in handles {
-            match h.join() {
-                Ok(w) => finished.push(w),
-                // Re-throw the worker's panic on the coordinator thread;
-                // the barrier is already poisoned, so the remaining
-                // workers have unwound (or will at their next wait) and
-                // the scope can close.
-                Err(payload) => std::panic::resume_unwind(payload),
+            // Re-throw a worker's panic on the coordinator thread; the
+            // barrier is already poisoned, so the remaining workers have
+            // unwound (or will at their next wait) and the scope can close.
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
             }
         }
-        assert!(
-            !poisoned,
-            "shard barrier poisoned but every worker joined cleanly"
-        );
-        finished
+        assert!(!poisoned, "shard barrier poisoned but every worker joined cleanly");
     });
 
-    // Reassemble a serial-scheduler view of the world so `step()` (or a
-    // later `run_cycles`) can continue from cycle `end` seamlessly.
-    // Extract the owned scheduler state first: the workers hold the
-    // mutable borrows of the network, which the rebuild below needs back.
-    let shard_state: Vec<(usize, Vec<u64>, Vec<usize>)> = finished
-        .into_iter()
-        .map(|w| {
-            sim.gating.router_steps += w.gating.router_steps;
-            if let Some(p) = w.prof {
-                if let Some(engine) = sim.telemetry.profiler_mut() {
-                    engine.absorb(*p);
-                }
-            }
-            (w.idx, w.gating.stepped_until, w.gating.work)
-        })
-        .collect();
-    if gated {
-        for (idx, stepped_until, _) in &shard_state {
-            let range = plan.router_range(*idx);
-            sim.gating.stepped_until[range.clone()].copy_from_slice(&stepped_until[range]);
+    // Hand the scheduler back to serial stepping at cycle `end`: router
+    // history and step counts from each shard, the active set from each
+    // shard's retention list, and a whole-network calendar rebuilt from
+    // the pipes.
+    let serial = &mut sim.sched.gating;
+    serial.work.clear();
+    serial.pending.clear();
+    for st in &mut states {
+        let range = st.routers.clone();
+        serial.router_steps += st.gating.router_steps;
+        serial.stepped_until[range.clone()].copy_from_slice(&st.gating.stepped_until[range]);
+        for &r in &st.gating.work {
+            activate(&mut serial.active_mark, &mut serial.work, r, end);
         }
-        sim.gating.work.clear();
-        sim.gating.pending.clear();
-        for slot in &mut sim.gating.calendar {
-            slot.clear();
-        }
-        sim.gating.inject_sched.fill(u64::MAX);
-        for row in &mut sim.gating.flit_sched {
-            row.fill(u64::MAX);
-        }
-        for row in &mut sim.gating.credit_sched {
-            row.fill(u64::MAX);
-        }
-        for (n, pipe) in sim.inject_pipes.iter().enumerate() {
-            for due in pipe.dues() {
-                sim.gating.inject_sched[n] = due;
-                sim.gating.calendar[(due % WAKE_RING as u64) as usize]
-                    .push(WakeEvent::Inject(n));
-            }
-        }
-        for r in 0..routers_total {
-            for p in 0..radix {
-                if let Some(pipe) = sim.flit_pipes[r][p].as_ref() {
-                    for due in pipe.dues() {
-                        sim.gating.flit_sched[r][p] = due;
-                        sim.gating.calendar[(due % WAKE_RING as u64) as usize]
-                            .push(WakeEvent::FlitLink(r, p));
-                    }
-                }
-                for due in sim.credit_pipes[r][p].dues() {
-                    sim.gating.credit_sched[r][p] = due;
-                    sim.gating.calendar[(due % WAKE_RING as u64) as usize]
-                        .push(WakeEvent::CreditLink(r, p));
-                }
-            }
-        }
-        // Retention already put every non-quiescent router in its
-        // shard's work list; re-activate them for cycle `end`.
-        for (_, _, work) in &shard_state {
-            for &r in work {
-                NetworkSim::activate(&mut sim.gating.active_mark, &mut sim.gating.work, r, end);
-            }
+        if let (Some(p), Some(engine)) = (st.prof.take(), sim.telemetry.profiler_mut()) {
+            engine.absorb(*p);
         }
     }
     sim.now = Cycle(end);
+    sim.whole_shard().rebuild_calendar();
 }
 
 #[cfg(test)]

@@ -29,6 +29,16 @@ cargo test -q --release --test gating_parity --test zero_alloc
 echo "==> cargo test -q --release --test shard_parity --test determinism"
 cargo test -q --release --test shard_parity --test determinism
 
+# Repo-benchmark contract: its own tests, then one short run of every
+# workload at seed 1, which exits 1 on any digest mismatch against
+# benchmark/digests.txt — serial, sharded and CMP results pinned end to
+# end.
+echo "==> cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml"
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
+echo "==> repo benchmark, all workloads, seed 1"
+cargo run --release --quiet --offline --locked --manifest-path benchmark/Cargo.toml -- \
+    --workload all --seed 1 --seconds 1 --trace 0
+
 # Barrier/panic contract: the sense-reversing spin barrier must survive
 # tens of thousands of reuses and oversubscription, and a worker panic
 # must poison the barrier and propagate as a clean join failure instead

@@ -34,17 +34,20 @@ const ALL_ALLOCATORS: [AllocatorKind; 8] = [
     AllocatorKind::Islip(2),
 ];
 
-fn build(kind: AllocatorKind, gated: bool) -> NetworkSim {
+fn config(kind: AllocatorKind, gated: bool) -> SimConfig {
     let mut network = NetworkConfig::paper_default(TopologyKind::Mesh, kind);
     network.nodes = 16;
     // Rate in the congested-but-stable band so buffers fill, credits
     // stall, speculation fails, and routers oscillate between active and
     // quiescent — the regime where a gating bug would surface.
-    let cfg = SimConfig::new(network, 0.06)
+    SimConfig::new(network, 0.06)
         .with_windows(300, 1_200, 500)
         .with_seed(0xD1CE)
-        .with_activity_gating(gated);
-    NetworkSim::build(cfg).expect("paper-default configs are valid")
+        .with_activity_gating(gated)
+}
+
+fn build(kind: AllocatorKind, gated: bool) -> NetworkSim {
+    NetworkSim::build(config(kind, gated)).expect("paper-default configs are valid")
 }
 
 /// Steps `sim` for 2,000 cycles, folding every ejected packet (cycle,
@@ -137,5 +140,28 @@ fn gated_and_ungated_runs_report_identical_energy() {
         for ((name, g), (_, u)) in gated.components().iter().zip(ungated.components().iter()) {
             assert_eq!(g, u, "{kind:?}: {name} energy diverged");
         }
+    }
+}
+
+#[test]
+fn gated_and_ungated_flit_traces_are_byte_identical() {
+    // DESIGN.md §7: the flit trace does not depend on the scheduler. Both
+    // schedulers run the same pipeline and differ only in where deliveries
+    // and router visits come from, so the exported JSONL must match byte
+    // for byte — including the order of events within a cycle.
+    for kind in ALL_ALLOCATORS {
+        let trace_jsonl = |gated: bool| {
+            let cfg = config(kind, gated)
+                .with_telemetry(TelemetrySettings::disabled().with_tracing(true));
+            let (_, telemetry) = NetworkSim::build(cfg).unwrap().run_with_telemetry();
+            let ring = telemetry.trace_ring();
+            assert_eq!(ring.dropped(), 0, "{kind:?}: trace ring overflowed");
+            let mut out = Vec::new();
+            ring.write_jsonl(&mut out).expect("writing to a Vec cannot fail");
+            out
+        };
+        let (gated, ungated) = (trace_jsonl(true), trace_jsonl(false));
+        assert!(gated.len() > 1_000, "{kind:?}: trace unexpectedly short");
+        assert!(gated == ungated, "{kind:?}: flit trace diverged between gated and ungated runs");
     }
 }

@@ -10,21 +10,43 @@
 //! magnitude.
 //!
 //! This lives in its own integration-test binary because the
-//! `#[global_allocator]` attribute is process-wide.
+//! `#[global_allocator]` attribute is process-wide. Counts are kept per
+//! thread: the test harness runs tests in parallel, and every measured
+//! loop steps its simulation serially on the test's own thread, so a
+//! thread-local count sees exactly that simulation's allocations and none
+//! of its neighbours'.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use vix::prelude::*;
 
-/// System allocator wrapper that counts every `alloc`/`realloc` call.
+/// System allocator wrapper that counts every `alloc`/`realloc` call
+/// made by the calling thread.
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `CountingAlloc`'s per-thread call count. `const`-initialised and
+    /// drop-free, so touching it never allocates or registers a
+    /// destructor from inside the allocator.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+impl CountingAlloc {
+    fn count() {
+        // `try_with`: a thread tearing down its locals may still allocate.
+        let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+    }
+
+    /// Allocation calls made so far by the current thread.
+    fn calls() -> u64 {
+        ALLOC_CALLS.with(Cell::get)
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        CountingAlloc::count();
         System.alloc(layout)
     }
 
@@ -33,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        CountingAlloc::count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -64,11 +86,11 @@ fn allocations_in_steady_state_for(network: NetworkConfig, telemetry: TelemetryS
         sim.step();
     }
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = CountingAlloc::calls();
     for _ in 0..MEASURED_CYCLES {
         sim.step();
     }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = CountingAlloc::calls();
     drop(sim);
     after - before
 }
@@ -127,13 +149,13 @@ fn ring_transport_recirculates_with_zero_allocations() {
             ejected.clear();
         }
 
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = CountingAlloc::calls();
         for _ in 0..MEASURED_CYCLES {
             sim.step();
             sim.take_ejections_into(&mut ejected);
             ejected.clear();
         }
-        let after = ALLOC_CALLS.load(Ordering::Relaxed);
+        let after = CountingAlloc::calls();
         assert_eq!(
             after - before,
             0,
@@ -182,11 +204,11 @@ fn idle_network_cycles_are_constant_time_and_heap_free() {
     let cfg = SimConfig::new(network, 0.0).with_windows(CYCLES + 1, 1, 1);
     let mut sim = NetworkSim::build(cfg).expect("valid config");
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = CountingAlloc::calls();
     for _ in 0..CYCLES {
         sim.step();
     }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = CountingAlloc::calls();
 
     assert_eq!(sim.router_steps(), 0, "an idle network must never visit a router");
     assert!(
