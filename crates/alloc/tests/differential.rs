@@ -149,8 +149,11 @@ fn wide_flavours() -> Vec<Flavour> {
     ]
 }
 
-fn random_requests(rng: &mut StdRng, ports: usize, vcs: usize, load_pct: u64) -> RequestSet {
-    let mut rs = RequestSet::new(ports, vcs);
+/// Refills `rs` through `clear()` with a seeded random request pattern —
+/// the same reuse path the router takes every cycle.
+fn random_requests(rng: &mut StdRng, rs: &mut RequestSet, load_pct: u64) {
+    let (ports, vcs) = (rs.ports(), rs.vcs_per_port());
+    rs.clear();
     for port in 0..ports {
         for vc in 0..vcs {
             if rng.gen_range(0..100_u64) < load_pct {
@@ -164,7 +167,6 @@ fn random_requests(rng: &mut StdRng, ports: usize, vcs: usize, load_pct: u64) ->
             }
         }
     }
-    rs
 }
 
 /// Drives a scalar/bitset twin pair through `cycles` cycles of identical
@@ -176,10 +178,11 @@ fn assert_twins_agree(f: &Flavour, seed: u64, cycles: u64) {
     let mut scalar = (f.build)(KernelKind::Scalar);
     let mut bitset = (f.build)(KernelKind::Bitset);
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut requests = RequestSet::new(f.ports, f.vcs);
     for cycle in 0..cycles {
         // Mix of loads, including empty cycles and saturation.
         let load = [0, 15, 55, 85, 100][rng.gen_range(0..5_usize)];
-        let requests = random_requests(&mut rng, f.ports, f.vcs, load);
+        random_requests(&mut rng, &mut requests, load);
         let sg = scalar.allocate(&requests);
         let bg = bitset.allocate(&requests);
         sg.validate_against(&requests, scalar.partition())

@@ -60,7 +60,9 @@ impl Arbiter for RoundRobinArbiter {
 
     fn commit(&mut self, winner: usize) {
         debug_assert!(winner < self.size, "winner index out of range");
-        self.pointer = (winner + 1) % self.size;
+        // `winner < size`, so the wrap is one compare, not a division.
+        let next = winner + 1;
+        self.pointer = if next == self.size { 0 } else { next };
     }
 
     fn peek_words(&self, words: &[u64]) -> Option<usize> {
@@ -74,8 +76,9 @@ impl Arbiter for RoundRobinArbiter {
             return Some(wp * 64 + hi.trailing_zeros() as usize);
         }
         let n = words.len();
-        for k in 1..=n {
-            let w = (wp + k) % n;
+        let mut w = wp;
+        for _ in 0..n {
+            w = if w + 1 == n { 0 } else { w + 1 };
             let m = if w == wp { words[wp] & !(!0u64 << bp) } else { words[w] };
             if m != 0 {
                 return Some(w * 64 + m.trailing_zeros() as usize);

@@ -19,6 +19,9 @@ use crate::ids::{VcId, VirtualInputId};
 pub struct VixPartition {
     vcs: usize,
     groups: usize,
+    /// `vcs / groups`, stored so the allocator inner loops' window
+    /// arithmetic never pays for a division.
+    size: usize,
 }
 
 impl VixPartition {
@@ -36,7 +39,7 @@ impl VixPartition {
         if !vcs.is_multiple_of(groups) {
             return Err(ConfigError::UnevenPartition { vcs, virtual_inputs: groups });
         }
-        Ok(VixPartition { vcs, groups })
+        Ok(VixPartition { vcs, groups, size: vcs / groups })
     }
 
     /// Partition with a single group (baseline router, no VIX).
@@ -64,7 +67,7 @@ impl VixPartition {
     /// VCs per sub-group.
     #[must_use]
     pub fn group_size(&self) -> usize {
-        self.vcs / self.groups
+        self.size
     }
 
     /// Sub-group (virtual input) a VC belongs to.

@@ -21,6 +21,9 @@ pub struct OutputVcs {
     credits: Vec<usize>,
     /// True while a packet holds the VC (head granted, tail not yet sent).
     allocated: Vec<bool>,
+    /// Per-port count of set `allocated` flags, so VC allocation rejects a
+    /// fully-held port without scanning its VCs.
+    held: Vec<usize>,
     /// Per-port: true for terminal ejection ports.
     sink: Vec<bool>,
 }
@@ -45,6 +48,7 @@ impl OutputVcs {
             vcs,
             credits,
             allocated: vec![false; ports * vcs],
+            held: vec![0; ports],
             sink: sink_ports.to_vec(),
         }
     }
@@ -86,6 +90,13 @@ impl OutputVcs {
         self.allocated[self.idx(port, vc)]
     }
 
+    /// True while packets hold every VC of `port` — no VC allocation
+    /// through it can succeed (O(1)).
+    #[must_use]
+    pub fn all_held(&self, port: PortId) -> bool {
+        self.held[port.0] == self.vcs
+    }
+
     /// True when a flit may be sent into downstream VC `(port, vc)` right
     /// now.
     #[must_use]
@@ -107,6 +118,7 @@ impl OutputVcs {
         let i = self.idx(port, vc);
         assert!(!self.allocated[i], "output VC {vc} double-allocated");
         self.allocated[i] = true;
+        self.held[port.0] += 1;
     }
 
     /// Releases `(port, vc)` when the holding packet's tail traverses.
@@ -116,6 +128,7 @@ impl OutputVcs {
             return;
         }
         let i = self.idx(port, vc);
+        self.held[port.0] -= usize::from(self.allocated[i]);
         self.allocated[i] = false;
     }
 
@@ -194,8 +207,16 @@ mod tests {
         assert!(!out.is_allocated(p, v));
         out.allocate(p, v);
         assert!(out.is_allocated(p, v));
+        assert!(!out.all_held(p));
+        out.allocate(p, VcId(0));
+        assert!(out.all_held(p));
         out.release(p, v);
         assert!(!out.is_allocated(p, v));
+        assert!(!out.all_held(p));
+        out.release(p, v);
+        out.release(p, VcId(0));
+        out.allocate(p, v);
+        assert!(!out.all_held(p), "releasing a free VC must not skew the count");
     }
 
     #[test]

@@ -49,6 +49,9 @@ pub fn select_output_vc(
     partition: &VixPartition,
     downstream_dim: usize,
 ) -> Option<VcId> {
+    if outputs.all_held(out) {
+        return None; // the common case at saturation: nothing to scan
+    }
     // Iterate the free VCs directly — no intermediate Vec. The winner is
     // identical because keys are unique (lowest-index tie-break via
     // `Reverse(vc.0)`), so `max_by_key` order-independence holds.
@@ -58,26 +61,33 @@ pub fn select_output_vc(
             free.max_by_key(|&vc| (outputs.credits(out, vc), std::cmp::Reverse(vc.0)))
         }
         VcAllocPolicy::DimensionAware => {
+            debug_assert_eq!(partition.vcs(), outputs.vc_count(), "partition/VC count mismatch");
             let preferred = preferred_group(downstream_dim, partition.groups());
-            // Load per sub-group: how many VCs are already allocated.
-            let load = |group: usize| {
-                partition
-                    .vcs_in_group(vix_core::VirtualInputId(group))
-                    .filter(|&vc| outputs.is_allocated(out, vc))
-                    .count()
-            };
-            free.max_by_key(|&vc| {
-                let group = partition.group_of(vc).0;
-                let in_preferred = preferred == Some(group);
-                // Rank: preferred sub-group first, then lightest-loaded
-                // sub-group, then most credits, then lowest index.
-                (
-                    usize::from(in_preferred),
-                    std::cmp::Reverse(load(group)),
-                    outputs.credits(out, vc),
-                    std::cmp::Reverse(vc.0),
-                )
-            })
+            // Sub-groups are windows of consecutive VCs, so walking them
+            // group by group visits every free VC in ascending order and
+            // lets each group's load be counted once, not once per VC.
+            let size = partition.group_size();
+            let mut best = None;
+            for group in 0..partition.groups() {
+                let vcs = (group * size..(group + 1) * size).map(VcId);
+                // Load of the sub-group: how many VCs are already allocated.
+                let load = vcs.clone().filter(|&vc| outputs.is_allocated(out, vc)).count();
+                let in_preferred = usize::from(preferred == Some(group));
+                for vc in vcs.filter(|&vc| !outputs.is_allocated(out, vc)) {
+                    // Rank: preferred sub-group first, then lightest-loaded
+                    // sub-group, then most credits, then lowest index.
+                    let key = (
+                        in_preferred,
+                        std::cmp::Reverse(load),
+                        outputs.credits(out, vc),
+                        std::cmp::Reverse(vc.0),
+                    );
+                    if best.is_none_or(|(top, _)| key > top) {
+                        best = Some((key, vc));
+                    }
+                }
+            }
+            best.map(|(_, vc)| vc)
         }
     }
 }

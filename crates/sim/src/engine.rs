@@ -36,7 +36,6 @@ use vix_router::{Router, RouterOutput};
 use vix_telemetry::{
     Profiler, SpanKind, SpanStart, TelemetrySink, TraceEvent, TraceEventKind, NO_ID,
 };
-use vix_topology::Topology;
 
 /// Size of the wake-calendar ring. Must exceed every pipe latency in the
 /// network (flit links, credit links, and the 1-cycle injection link) so a
@@ -269,7 +268,7 @@ pub(crate) struct Shard<'a> {
     pub(crate) st: &'a mut ShardState,
     pub(crate) fab: Fabric<'a>,
     pub(crate) cfg: &'a SimConfig,
-    pub(crate) topology: &'a dyn Topology,
+    /// Routing and link tables: every per-flit topology question.
     pub(crate) routes: &'a RouteTable,
     /// The run's sink for the serial shard; a disabled one for sharded
     /// workers (recording runs never shard, see
@@ -366,8 +365,8 @@ impl Shard<'_> {
         // schedules the injection link's delivery one cycle out.
         for i in 0..self.fab.sources.len() {
             let n = self.st.nodes.start + i;
-            let router = self.topology.router_of(NodeId(n));
             let routes = self.routes;
+            let (router, _) = routes.home(NodeId(n));
             let resolve = |dest: NodeId| routes.resolve(router, dest);
             if let Some(flit) = self.fab.sources[i].try_send(now, resolve) {
                 self.fab.inject_pipes[i].push(now, flit);
@@ -465,9 +464,7 @@ impl Shard<'_> {
         let (r0, n0) = (self.st.routers.start, self.st.nodes.start);
         match ev {
             WakeEvent::Inject(n) => {
-                let node = NodeId(n);
-                let router = self.topology.router_of(node).0;
-                let port = self.topology.local_port_of(node);
+                let (RouterId(router), port) = self.routes.home(NodeId(n));
                 while let Some(flit) = self.fab.inject_pipes[n - n0].pop_ready(now) {
                     self.trace_flit(TraceEventKind::Inject, now, router, port, &flit);
                     self.fab.routers[router - r0].accept_flit(port, flit);
@@ -476,8 +473,8 @@ impl Shard<'_> {
             }
             WakeEvent::FlitLink(r, p) => {
                 let (down, down_port) = self
-                    .topology
-                    .neighbor(RouterId(r), PortId(p))
+                    .routes
+                    .downstream(r, PortId(p))
                     .expect("flit pipe exists only on connected ports");
                 debug_assert!(
                     self.owns(down.0),
@@ -550,10 +547,10 @@ impl Shard<'_> {
         let t = now.0;
         let ri = r - self.st.routers.start;
         for (p, mut flit) in out.flits.drain(..) {
-            if self.topology.is_local_port(p) {
+            if self.routes.is_local_port(p) {
                 debug_assert_eq!(
-                    self.topology.node_at(RouterId(r), p),
-                    Some(flit.packet.dest),
+                    self.routes.home(flit.packet.dest),
+                    (RouterId(r), p),
                     "flit ejected at the wrong terminal"
                 );
                 self.trace_flit(TraceEventKind::Eject, now, r, p, &flit);
@@ -574,10 +571,8 @@ impl Shard<'_> {
             } else {
                 // Lookahead routing: rewrite the routing fields for the
                 // downstream router before the flit enters the link.
-                let (down, _) = self
-                    .topology
-                    .neighbor(RouterId(r), p)
-                    .expect("route uses connected ports");
+                let (down, _) =
+                    self.routes.downstream(r, p).expect("route uses connected ports");
                 let (out_port, lookahead, _) = self.routes.resolve(down, flit.packet.dest);
                 flit.set_route(out_port, lookahead);
                 self.trace_flit(TraceEventKind::LinkTraversal, now, r, p, &flit);
@@ -636,8 +631,8 @@ impl Shard<'_> {
                     continue;
                 };
                 let (down, _) = self
-                    .topology
-                    .neighbor(RouterId(r), PortId(p))
+                    .routes
+                    .downstream(r, PortId(p))
                     .expect("flit pipe exists only on connected ports");
                 if self.owns(down.0) {
                     for due in pipe.dues() {

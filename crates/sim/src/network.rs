@@ -18,37 +18,63 @@ use vix_telemetry::{HistogramId, MatchingSummary, SpanKind, TelemetrySink};
 use vix_topology::{build_topology, Topology};
 use vix_traffic::{BernoulliInjector, TrafficPattern};
 
-/// Precomputed routing over the whole (static) topology: entry
-/// `router * nodes + dest` packs, in three bytes, the output port at
-/// `router`, the output port at the next router (lookahead), and the
-/// dimension of the first port. Routing is deterministic and the topology
-/// never changes after build, so the hot per-flit lookahead rewrite
-/// becomes one table load instead of three virtual topology calls.
+/// Precomputed routing and link tables over the whole (static) topology.
+///
+/// * **Routes:** entry `router * nodes + dest` packs, in three bytes, the
+///   output port at `router`, the output port at the next router
+///   (lookahead), and the dimension of the first port.
+/// * **Links:** per `(router, port)`, the `(router, input port)` its
+///   outgoing link feeds; per port, whether it is a terminal port; per
+///   node, the `(router, port)` its terminal attaches to.
+///
+/// Routing is deterministic and the topology never changes after build,
+/// so the cycle pipeline's per-flit lookahead rewrite, link delivery,
+/// injection and ejection each become one table load instead of virtual
+/// `Topology` calls.
 #[derive(Debug, Clone)]
 pub(crate) struct RouteTable {
     nodes: usize,
+    radix: usize,
     /// `(out_port, lookahead_port, dimension)` per `(router, dest)` pair.
     entries: Vec<(u8, u8, u8)>,
+    /// Downstream end of the link leaving `router * radix + port`; `None`
+    /// on terminal and unconnected ports.
+    downstream: Vec<Option<(RouterId, PortId)>>,
+    /// Per port: true for terminal (injection/ejection) ports.
+    local: Vec<bool>,
+    /// Per node: the `(router, terminal port)` it attaches to.
+    home: Vec<(RouterId, PortId)>,
 }
 
 impl RouteTable {
     fn build(topology: &dyn Topology) -> Self {
         let nodes = topology.nodes();
+        let radix = topology.radix();
         let byte = |x: usize| u8::try_from(x).expect("port ids and dimensions fit a byte");
+        let downstream: Vec<_> = (0..topology.routers())
+            .flat_map(|r| (0..radix).map(move |p| topology.neighbor(RouterId(r), PortId(p))))
+            .collect();
+        let local: Vec<bool> = (0..radix).map(|p| topology.is_local_port(PortId(p))).collect();
+        let dims: Vec<u8> = (0..radix).map(|p| byte(topology.port_dimension(PortId(p)))).collect();
+        let home = (0..nodes)
+            .map(NodeId)
+            .map(|n| (topology.router_of(n), topology.local_port_of(n)))
+            .collect();
         let mut entries = Vec::with_capacity(topology.routers() * nodes);
         for r in (0..topology.routers()).map(RouterId) {
             for dest in (0..nodes).map(NodeId) {
                 let out = topology.route(r, dest);
-                let lookahead = if topology.is_local_port(out) {
+                let lookahead = if local[out.0] {
                     out
                 } else {
-                    let (next, _) = topology.neighbor(r, out).expect("route uses connected ports");
+                    let (next, _) =
+                        downstream[r.0 * radix + out.0].expect("route uses connected ports");
                     topology.route(next, dest)
                 };
-                entries.push((byte(out.0), byte(lookahead.0), byte(topology.port_dimension(out))));
+                entries.push((byte(out.0), byte(lookahead.0), dims[out.0]));
             }
         }
-        RouteTable { nodes, entries }
+        RouteTable { nodes, radix, entries, downstream, local, home }
     }
 
     /// Routing for a packet about to leave `router` for `dest`: its output
@@ -58,6 +84,25 @@ impl RouteTable {
     pub(crate) fn resolve(&self, router: RouterId, dest: NodeId) -> (PortId, PortId, usize) {
         let (out, la, dim) = self.entries[router.0 * self.nodes + dest.0];
         (PortId(out as usize), PortId(la as usize), dim as usize)
+    }
+
+    /// The `(router, input port)` fed by the link leaving `router` through
+    /// `port`; `None` on terminal and unconnected ports.
+    #[inline]
+    pub(crate) fn downstream(&self, router: usize, port: PortId) -> Option<(RouterId, PortId)> {
+        self.downstream[router * self.radix + port.0]
+    }
+
+    /// True for terminal (injection/ejection) ports.
+    #[inline]
+    pub(crate) fn is_local_port(&self, port: PortId) -> bool {
+        self.local[port.0]
+    }
+
+    /// The router and terminal port node `node` attaches to.
+    #[inline]
+    pub(crate) fn home(&self, node: NodeId) -> (RouterId, PortId) {
+        self.home[node.0]
     }
 }
 
@@ -202,14 +247,11 @@ impl NetworkSim {
             })
             .collect();
 
+        let routes = RouteTable::build(topology.as_ref());
         let flit_pipes = (0..topology.routers())
             .map(|r| {
                 (0..radix)
-                    .map(|p| {
-                        topology
-                            .neighbor(RouterId(r), PortId(p))
-                            .map(|_| Pipe::new(FLIT_LATENCY))
-                    })
+                    .map(|p| routes.downstream(r, PortId(p)).map(|_| Pipe::new(FLIT_LATENCY)))
                     .collect()
             })
             .collect();
@@ -227,10 +269,10 @@ impl NetworkSim {
             .map(|r| {
                 (0..radix)
                     .map(|p| {
-                        let (r, p) = (RouterId(r), PortId(p));
-                        if let Some(node) = topology.node_at(r, p) {
+                        let p = PortId(p);
+                        if let Some(node) = topology.node_at(RouterId(r), p) {
                             CreditDest::Source(node)
-                        } else if let Some((ur, up)) = topology.neighbor(r, p) {
+                        } else if let Some((ur, up)) = routes.downstream(r, p) {
                             CreditDest::Upstream(ur, up)
                         } else {
                             CreditDest::Unconnected
@@ -270,7 +312,6 @@ impl NetworkSim {
                 telemetry.register_histogram(&format!("router{r}.vc_occupancy"), &occupancy_bounds)
             })
             .collect();
-        let routes = RouteTable::build(topology.as_ref());
         Ok(NetworkSim {
             cfg: run_cfg,
             topology,
@@ -409,7 +450,6 @@ impl NetworkSim {
                 sources: &mut self.sources,
             },
             cfg: &self.cfg,
-            topology: self.topology.as_ref(),
             routes: &self.routes,
             sink: &mut self.telemetry,
         }

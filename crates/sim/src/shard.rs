@@ -535,7 +535,7 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
                     (dst_shard != idx).then_some(b)
                 };
                 if fab.flit_pipes[ri][p].is_some() {
-                    let down = sim.topology.neighbor(RouterId(r), PortId(p));
+                    let down = sim.routes.downstream(r, PortId(p));
                     flit_boundary.extend(boundary(down.expect("flit pipe on a connected port")));
                 }
                 if let CreditDest::Upstream(up, up_port) = fab.credit_dests[ri][p] {
@@ -547,7 +547,6 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
             st,
             fab,
             cfg: &sim.cfg,
-            topology: sim.topology.as_ref(),
             routes: &sim.routes,
             sink,
         };

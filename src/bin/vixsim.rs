@@ -117,8 +117,8 @@ const USAGE: &str = "usage: vixsim [options]
   --seed <n>
   --jobs <n>                       sweep worker threads; 0 = all cores
                                    (default 0; results identical for any value)
-  --shards <n|auto>                worker threads inside each simulation;
-                                   auto (= 0) picks from the host's cores
+  --shards <n|auto>                worker threads inside each simulation
+                                   (n >= 1); auto picks from the host's cores
                                    (default 1; results identical for any
                                    value — DESIGN.md §8)
   --shard-weights <file>           per-router cost weights for the shard
@@ -204,7 +204,13 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--shards" => {
                 opt.shards = match value()?.as_str() {
                     "auto" => 0,
-                    n => n.parse().map_err(|e| format!("bad shards: {e}"))?,
+                    n => match n.parse() {
+                        // `0` would silently mean "auto"; make that explicit.
+                        Ok(0) => {
+                            return Err(format!("bad shards: {n} (use --shards auto for all cores)"))
+                        }
+                        parsed => parsed.map_err(|e| format!("bad shards: {e}"))?,
+                    },
                 }
             }
             "--shard-weights" => opt.shard_weights = Some(value()?.clone()),
@@ -536,4 +542,23 @@ fn main() -> ExitCode {
     println!("  packets   {} delivered over {} measured cycles",
         stats.packets_ejected(), stats.measured_cycles());
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn shards(value: &str) -> Result<usize, String> {
+        parse(&["--shards".to_string(), value.to_string()]).map(|opt| opt.shards)
+    }
+
+    #[test]
+    fn shards_flag_table() {
+        // `auto` is the only spelling of "all cores" (stored as 0, which
+        // `with_shards` reads as auto); a literal 0 is rejected.
+        assert_eq!(shards("auto"), Ok(0));
+        assert_eq!(shards("3"), Ok(3));
+        assert_eq!(shards("0"), Err("bad shards: 0 (use --shards auto for all cores)".to_string()));
+        assert!(shards("two").unwrap_err().starts_with("bad shards: "));
+    }
 }
