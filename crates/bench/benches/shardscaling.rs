@@ -17,9 +17,10 @@
 //! because (b) is meaningless without it: on a single-core host the
 //! worker threads timeshare one CPU and the barrier overhead makes every
 //! multi-shard figure a slowdown, honestly recorded as such. `--check`
-//! therefore always enforces the `shards=1` no-regression budget, but
-//! only enforces the ≥2× speedup floor at 4 shards when the *current*
-//! host actually has ≥4 cores to scale over.
+//! therefore always enforces the `shards=1` no-regression budget, enforces
+//! a ≥1.3× floor for 2 shards over `shards=1` (both measured in the same
+//! process) only when the *current* host has ≥2 cores, and the ≥2×
+//! speedup floor at 4 shards only when it has ≥4 cores to scale over.
 
 use std::time::Instant;
 use vix_core::{AllocatorKind, NetworkConfig, SimConfig, TelemetrySettings, TopologyKind};
@@ -49,6 +50,12 @@ const SPEEDUP_FLOOR: f64 = 2.0;
 /// Core count below which the speedup floor cannot physically be met and
 /// is therefore skipped (with a loud note) rather than fabricated.
 const SPEEDUP_CORES: usize = 4;
+
+/// `--check`: minimum speedup of 2 shards over 1, both measured in this
+/// process, enforced on any host with at least 2 cores. A sharded engine
+/// that puts its shards back in series (or oversubscribes two cores)
+/// fails it wherever it runs, with no recorded figure to compare to.
+const PAIR_SPEEDUP_FLOOR: f64 = 1.3;
 
 struct BenchParams {
     warmup_cycles: u64,
@@ -184,9 +191,10 @@ fn write_json(results: &[ShardResult], profile: &ShardProfile, p: &BenchParams) 
     out.push_str(&format!("  \"samples\": {},\n", p.samples));
     out.push_str(&format!("  \"host_cores\": {},\n", host_cores()));
     // Protocol tag: which sharded cycle protocol produced the figures
-    // (two futex barriers per cycle before PR 10, one pipelined spin
-    // barrier after), so recordings across the trajectory stay legible.
-    out.push_str("  \"protocol\": \"spin-barrier-pipelined\",\n");
+    // (two futex barriers per cycle, then one spin barrier with the
+    // coordinator on its own thread, now on shard 0's thread), so
+    // recordings across the trajectory stay legible.
+    out.push_str("  \"protocol\": \"spin-barrier-shard0-coordinates\",\n");
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
@@ -219,7 +227,9 @@ fn write_json(results: &[ShardResult], profile: &ShardProfile, p: &BenchParams) 
 
 /// `--check`: the `shards=1` path must stay within [`CHECK_TOLERANCE`] of
 /// its recorded figure (one retry absorbs a noisy CI slice, exactly like
-/// the alloc-kernel guard), and on a host with ≥ [`SPEEDUP_CORES`] cores
+/// the alloc-kernel guard); on a host with ≥ 2 cores the fresh 2-shard
+/// run must clear the [`PAIR_SPEEDUP_FLOOR`] over the fresh `shards=1` run
+/// (one retry of the pair), and on a host with ≥ [`SPEEDUP_CORES`] cores
 /// the fresh 4-shard run must clear the [`SPEEDUP_FLOOR`].
 fn check_against_recorded(results: &[ShardResult], p: &BenchParams) -> Result<(), String> {
     let path = workspace_json_path();
@@ -255,6 +265,21 @@ fn check_against_recorded(results: &[ShardResult], p: &BenchParams) -> Result<()
     }
 
     let cores = host_cores();
+    if cores >= 2 {
+        let two = results.iter().find(|r| r.shards == 2).expect("matrix includes shards=2");
+        let mut speedup = two.speedup_vs_serial;
+        if speedup < PAIR_SPEEDUP_FLOOR {
+            let retry = measure(1, p) / measure(2, p);
+            println!("shards=2 under the floor ({speedup:.2}x), retried: {retry:.2}x");
+            speedup = speedup.max(retry);
+        }
+        if speedup < PAIR_SPEEDUP_FLOOR {
+            failures.push(format!(
+                "shards=2: speedup {speedup:.2}x over shards=1 < {PAIR_SPEEDUP_FLOOR:.1}x floor \
+                 on a {cores}-core host"
+            ));
+        }
+    }
     if cores >= SPEEDUP_CORES {
         let four = results.iter().find(|r| r.shards == 4).expect("matrix includes shards=4");
         if four.speedup_vs_serial < SPEEDUP_FLOOR {

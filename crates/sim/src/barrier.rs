@@ -3,13 +3,19 @@
 //!
 //! [`std::sync::Barrier`] parks every waiter in the kernel (futex), which
 //! costs a syscall pair per thread per wait — at one barrier per simulated
-//! cycle that syscall traffic dominates the shard workers' wall-clock (the
-//! PR 9 profiler measured ~75% of worker time in `BarrierWait` at 4 shards).
+//! cycle that syscall traffic dominated the shards' wall-clock (the engine
+//! profiler measured ~75% of shard time in `BarrierWait` at 4 shards).
 //! [`SpinBarrier`] keeps the rendezvous in user space: each arrival is one
 //! atomic `fetch_add`, each wait is a bounded spin on a single cache line
-//! followed by [`std::thread::yield_now`] once the spin budget is spent, so
-//! oversubscribed hosts (shards > cores) degrade to cooperative scheduling
-//! instead of burning a full timeslice.
+//! followed by [`std::thread::yield_now`] once the spin budget is spent.
+//!
+//! A sharded run has exactly one participant per shard — shard 0's thread
+//! also coordinates, so no extra thread spins while the shards work — and
+//! `--shards auto` puts one shard on each core, where the short spin is
+//! all a wait ever needs. The yield path is for the oversubscribed case:
+//! an explicit shard count above the core count, or a host shared with
+//! other work, degrades to cooperative scheduling instead of burning a
+//! full timeslice per wait.
 //!
 //! # Sense reversal
 //!
@@ -190,8 +196,9 @@ impl SpinBarrier {
 
 /// Poisons `barrier` if the holding thread unwinds while this guard is
 /// live; disarmed on orderly return by being dropped without a panic in
-/// flight. Each sharded-run participant (workers *and* coordinator) holds
-/// one so that any panic releases everyone else from the rendezvous.
+/// flight. Each sharded-run participant (every shard's thread, the
+/// coordinating caller's included) holds one so that any panic releases
+/// everyone else from the rendezvous.
 #[derive(Debug)]
 pub(crate) struct PoisonOnPanic<'a>(pub(crate) &'a SpinBarrier);
 

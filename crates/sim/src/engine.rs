@@ -11,7 +11,7 @@
 //!   shard covering the whole network — no threads, no barrier, no
 //!   mailboxes, no boundary lists — and merges its records in the same
 //!   step.
-//! * **Sharded stepping** (`crate::shard`) runs one pipeline per worker,
+//! * **Sharded stepping** (`crate::shard`) runs one pipeline per shard thread,
 //!   wrapped in the mailbox drain before it and the boundary scan after.
 //! * **Gated and ungated differ only in the event source.** With
 //!   [`SimConfig::activity_gating`] on, deliveries come from the wake
@@ -191,7 +191,7 @@ pub(crate) struct ShardState {
     /// router's flits and credits here, so the steady-state step performs
     /// no heap allocation.
     out: RouterOutput,
-    /// A sharded worker's own profiler track. `None` for the serial shard,
+    /// A sharded run's per-shard profiler track. `None` for the serial shard,
     /// whose spans go to the engine profiler inside its sink.
     pub(crate) prof: Option<Box<Profiler>>,
 }

@@ -605,14 +605,14 @@ impl NetworkSim {
         self.shard_weights = None;
     }
 
-    /// Resolves [`SimConfig::shards`] to the worker count a
-    /// [`NetworkSim::run_cycles`] call will actually use: `0` (auto)
+    /// Resolves [`SimConfig::shards`] to the shard count — one thread per
+    /// shard — a [`NetworkSim::run_cycles`] call will actually use: `0` (auto)
     /// becomes [`std::thread::available_parallelism`] capped so that each
     /// shard owns at least [`MIN_AUTO_ROUTERS`](Self::MIN_AUTO_ROUTERS)
     /// routers (tiny shards are barrier-dominated), any explicit count is
     /// clamped to the router count (a shard must own at least one
     /// router), and runs with telemetry recording enabled (tracing or
-    /// metrics) fall back to `1` — shard workers run the same pipeline
+    /// metrics) fall back to `1` — sharded runs step the same pipeline
     /// but record into disabled sinks (DESIGN.md §8).
     #[must_use]
     pub fn effective_shards(&self) -> usize {
@@ -639,7 +639,7 @@ impl NetworkSim {
 
     /// Advances the simulation by `cycles` cycles, using the sharded
     /// parallel engine when [`NetworkSim::effective_shards`] resolves to
-    /// more than one worker and plain [`NetworkSim::step`] calls
+    /// more than one shard and plain [`NetworkSim::step`] calls
     /// otherwise.
     ///
     /// The sharded engine is bit-identical to serial stepping for every

@@ -3,9 +3,10 @@
 //! [`LoadSweep`](crate::LoadSweep) parallelises *across* simulations; this
 //! module parallelises *within* one. The router graph is partitioned into
 //! contiguous shards ([`ShardPlan`] — equal-sized by default, or weighted
-//! by per-router cost via [`ShardPlan::weighted`]), each owned by one
-//! worker thread of a [`std::thread::scope`] pool, and the workers advance
-//! in lockstep one cycle at a time. Cross-shard traffic rides the
+//! by per-router cost via [`ShardPlan::weighted`]), each stepped by one
+//! thread — shard 0 by the caller's, the rest by a [`std::thread::scope`]
+//! pool — and the shards advance in lockstep one cycle at a time.
+//! Cross-shard traffic rides the
 //! ≥ 2-cycle link latency as conservative lookahead: everything a boundary
 //! pipe will deliver at cycle `t + 1` is already in flight (and final) by
 //! the end of cycle `t`, so a single end-of-cycle exchange per neighbour
@@ -13,7 +14,7 @@
 //!
 //! # One pipeline, many shards
 //!
-//! Each worker runs the same cycle pipeline (phases 2–5: source
+//! Each shard runs the same cycle pipeline (phases 2–5: source
 //! injection, delivery, router stepping, fan-out) that serial stepping
 //! runs — serial is simply the one-shard case, driven inline over the
 //! whole network. Activity gating is not a separate code path either: a
@@ -25,10 +26,18 @@
 //!
 //! # Cycle protocol
 //!
-//! **One barrier per cycle** (a [`SpinBarrier`] over `shards + 1`
-//! participants), with the coordinator pipelined one cycle ahead of the
-//! workers. While the workers execute cycle `t`, the coordinator — the
-//! run's sole RNG and stats owner — concurrently:
+//! A run over `shards` shards uses exactly `shards` threads: shard 0 runs
+//! on the caller's thread, shards `1..shards` on scoped threads, and all of
+//! them meet at **one barrier per cycle** (a [`SpinBarrier`] over `shards`
+//! participants). Every participant runs the same loop body for cycle `t`:
+//! drain the packets staged for its shard and its inbound cross-shard
+//! mailboxes, run the pipeline over the shard, pop every boundary pipe up
+//! to `t + 1` into the destination shard's mailbox for the next cycle, and
+//! publish the cycle's ejection records. — *barrier* —
+//!
+//! Shard 0's thread is also the coordinator — the run's sole RNG and stats
+//! owner — pipelined one cycle ahead of the shards. After its own shard's
+//! part of cycle `t`, and before it arrives at the barrier, it:
 //!
 //! 1. merges cycle `t − 1`'s ejection records shard-by-shard in ascending
 //!    shard order (which *is* ascending router order, so statistics
@@ -38,17 +47,12 @@
 //!    into a coordinator-owned staging buffer that is swapped into the
 //!    shared slot with **one** lock acquisition per shard per cycle.
 //!
-//! Then everybody meets at the single end-of-cycle barrier and the next
-//! cycle begins. The lookahead is safe because the inputs of cycle `t`
-//! were fully staged before `t` started: cycle `start`'s packets are
-//! generated before the workers are spawned, and cycle `t + 1`'s are
-//! final at the barrier that closes `t` — a worker never observes a
-//! staging buffer mid-write.
-//!
-//! Workers, per cycle `t`: drain staged packets and inbound cross-shard
-//! mailboxes, run the pipeline over the shard, then pop every boundary
-//! pipe up to `t + 1` into the destination shard's mailbox for the next
-//! cycle, and publish the cycle's ejection records. — *barrier* —
+//! The lookahead is safe because the inputs of cycle `t` were fully staged
+//! before `t` started: cycle `start`'s packets are generated before the
+//! other shards are spawned, and cycle `t + 1`'s are final at the barrier
+//! that closes `t` — a shard never observes a staging buffer mid-write.
+//! No thread is left over to spin while the shards work, so `--shards
+//! auto` (one shard per core) puts exactly one thread on each core.
 //!
 //! Mailboxes, staging slots, and record slots are all double-buffered by
 //! cycle parity, so the side that fills a cycle-`t + 1` buffer never
@@ -56,11 +60,12 @@
 //! the protocol is uncontended by construction and acquired at most once
 //! per shard per cycle.
 //!
-//! A panicking participant (worker or coordinator) poisons the barrier
-//! through a `PoisonOnPanic` guard instead of leaving everyone else
-//! blocked; survivors observe the poison at their next wait, unwind, and
-//! the original panic propagates out of `run_sharded` as a clean
-//! re-thrown join failure.
+//! A panicking participant (any shard, the coordinating shard 0 included)
+//! poisons the barrier through a `PoisonOnPanic` guard instead of leaving
+//! everyone else blocked; survivors observe the poison at their next wait
+//! and unwind, and the original panic propagates out of `run_sharded` —
+//! re-thrown from the failed join, or, for shard 0, unwinding the caller's
+//! thread directly once the scope has joined the rest.
 //!
 //! # Determinism
 //!
@@ -91,7 +96,7 @@
 
 use crate::barrier::{PoisonOnPanic, SpinBarrier, SpinWaiter};
 use crate::engine::{activate, health_gauges, Fabric, Records, Shard, ShardState};
-use crate::network::{CreditDest, NetworkSim, Traffic};
+use crate::network::{CreditDest, EjectedPacket, NetworkSim, Traffic};
 use crate::stats::NetworkStats;
 use std::sync::Mutex;
 use vix_core::{Cycle, Flit, NodeId, PacketDescriptor, PortId, RouterId, SimConfig, VcId};
@@ -296,7 +301,7 @@ impl Mailboxes {
     }
 }
 
-/// One worker thread: its shard of the cycle pipeline plus the links it
+/// One participant: its shard of the cycle pipeline plus the links it
 /// exchanges with the other shards.
 struct ShardWorker<'a> {
     idx: usize,
@@ -311,7 +316,7 @@ impl ShardWorker<'_> {
     /// heartbeat-cycle gauges (router steps, wake-calendar depth,
     /// buffered flits) when cycle `t` closes a heartbeat interval. Runs
     /// before the end-of-cycle barrier, which orders the stores ahead of
-    /// the coordinator's reads.
+    /// shard 0's reads after it.
     fn publish_health(&self, board: &HealthBoard, t: u64, beat_every: u64) {
         let st = &*self.shard.st;
         let Some(p) = &st.prof else { return };
@@ -354,29 +359,24 @@ impl ShardWorker<'_> {
     }
 
     /// Executes this shard's part of cycle `t` (the window between two
-    /// end-of-cycle barriers). `staged` and `out_slot` are the cycle-`t`
-    /// parity slots: the coordinator filled `staged` before cycle `t`
-    /// began (one cycle ahead) and will drain `out_slot` during cycle
-    /// `t + 1`, so neither lock is ever contended.
-    /// `last` marks the final cycle of the sharded stretch: its boundary
-    /// scan is skipped so cycle-`t + 1` deliveries stay in their pipes —
-    /// there is no cycle `t + 1` in this run to drain the mailboxes, and
-    /// whichever engine continues (serial stepping or the next sharded
-    /// stretch's pre-scan) delivers straight from the pipes.
-    fn run_cycle(
-        &mut self,
-        t: u64,
-        last: bool,
-        mail: &Mailboxes,
-        staged: &Mutex<Vec<PacketDescriptor>>,
-        out_slot: &Mutex<Records>,
-    ) {
+    /// end-of-cycle barriers) over the cycle-`t` parity slots of `ls`: the
+    /// coordinator filled the staging slot before cycle `t` began (one
+    /// cycle ahead) and will drain the record slot during cycle `t + 1`,
+    /// so neither lock is ever contended.
+    /// On the final cycle of the sharded stretch the boundary scan is
+    /// skipped so cycle-`t + 1` deliveries stay in their pipes — there is
+    /// no cycle `t + 1` in this run to drain the mailboxes, and whichever
+    /// engine continues (serial stepping or the next sharded stretch's
+    /// pre-scan) delivers straight from the pipes.
+    fn run_cycle(&mut self, t: u64, ls: &Lockstep) {
         let (r0, n0) = (self.shard.st.routers.start, self.shard.st.nodes.start);
+        let parity = (t % 2) as usize;
         // Profiling lap chain: staged/mailbox drains and the boundary
         // scan are `Exchange`; the pipeline phases lap themselves.
         let mut span = self.shard.span_start();
 
         // Packets the coordinator generated for this cycle (phase 1).
+        let staged = &ls.staged[parity][self.idx];
         for packet in staged.lock().expect("no panic while staging").drain(..) {
             self.shard.fab.sources[packet.source.0 - n0].enqueue(packet);
         }
@@ -384,8 +384,7 @@ impl ShardWorker<'_> {
         // Inbound cross-shard deliveries due this cycle. Flit deliveries
         // wake the receiving router exactly as a calendar event would;
         // credits never wake one.
-        let parity = (t % 2) as usize;
-        let inbox = mail.flits[parity][self.idx].iter().zip(&mail.credits[parity][self.idx]);
+        let inbox = ls.mail.flits[parity][self.idx].iter().zip(&ls.mail.credits[parity][self.idx]);
         for (flits, credits) in inbox {
             for (down, port, flit) in flits.lock().expect("sender not panicked").drain(..) {
                 self.shard.fab.routers[down.0 - r0].accept_flit(port, flit);
@@ -404,50 +403,152 @@ impl ShardWorker<'_> {
         // `t + 1` is final now (this cycle's pushes are due ≥ t + 2,
         // since every inter-router pipe has ≥ 2 cycles of latency), so
         // hand it to the destination shard's next-cycle mailbox.
-        if !last {
-            self.send_boundary(Cycle(t + 1), mail);
+        if t + 1 < ls.end {
+            self.send_boundary(Cycle(t + 1), &ls.mail);
         }
 
         // Hand this cycle's records to the coordinator. The swap gets back
         // the buffers the coordinator drained last cycle, keeping the
         // steady state allocation-free.
         std::mem::swap(
-            &mut *out_slot.lock().expect("coordinator not panicked"),
+            &mut *ls.outs[parity][self.idx].lock().expect("coordinator not panicked"),
             &mut self.shard.st.records,
         );
         self.shard.lap(SpanKind::Exchange, t, span);
     }
 }
 
-/// Phase 1 for cycle `u`, run by the coordinator one cycle ahead of the
-/// workers: the serial generator, with each shard's packets batched into
-/// a coordinator-owned buffer that is then swapped into the shared staging
-/// slot with one lock acquisition per (non-idle) shard.
-///
-/// The caller guarantees that slot `staged[...]` was drained by its worker
-/// two cycles ago, so the swap hands back an empty vector and the steady
-/// state stays allocation-free.
-fn stage_cycle(
-    traffic: &mut Traffic,
-    cfg: &SimConfig,
-    stats: &mut NetworkStats,
-    u: u64,
-    plan: &ShardPlan,
-    gen_bufs: &mut [Vec<PacketDescriptor>],
-    staged: &[Mutex<Vec<PacketDescriptor>>],
-) {
-    traffic.generate_cycle(u, cfg, stats, |packet| {
-        gen_bufs[plan.shard_of_node(packet.source.0)].push(packet);
-    });
-    for (buf, slot) in gen_bufs.iter_mut().zip(staged) {
-        if !buf.is_empty() {
-            std::mem::swap(&mut *slot.lock().expect("worker not panicked"), buf);
+/// What every participant of one sharded stretch shares: the cycle range,
+/// the parity-double-buffered exchange slots, the barrier, and the
+/// heartbeat board.
+struct Lockstep {
+    start: u64,
+    end: u64,
+    mail: Mailboxes,
+    /// `staged[t % 2][s]`: shard `s`'s packets for cycle `t`.
+    staged: [Vec<Mutex<Vec<PacketDescriptor>>>; 2],
+    /// `outs[t % 2][s]`: shard `s`'s ejection records of cycle `t`.
+    outs: [Vec<Mutex<Records>>; 2],
+    barrier: SpinBarrier,
+    board: Option<HealthBoard>,
+    beat_every: u64,
+    /// Test-only fault hook: `VIX_SHARD_PANIC_AT=cycle:shard` makes that
+    /// shard panic at the top of that cycle (tests/shard_panic.rs).
+    panic_inject: Option<(u64, usize)>,
+}
+
+/// Shard 0's second role: the run's sole RNG and stats owner. Its spans
+/// (`StatsMerge`, `TrafficGen`) go to the engine track.
+struct Coordinator<'a> {
+    traffic: &'a mut Traffic,
+    cfg: &'a SimConfig,
+    stats: &'a mut NetworkStats,
+    ejected: &'a mut Vec<EjectedPacket>,
+    telemetry: &'a mut TelemetrySink,
+    plan: ShardPlan,
+    /// Per-shard batches of the cycle being generated; swapped into the
+    /// staging slots, so they come back empty two cycles later.
+    gen_bufs: Vec<Vec<PacketDescriptor>>,
+    steps_base: u64,
+}
+
+impl Coordinator<'_> {
+    /// Phase 1 for cycle `u`: the serial generator, with each shard's
+    /// packets batched into a coordinator-owned buffer that is then
+    /// swapped into the shared staging slot with one lock acquisition per
+    /// (non-idle) shard.
+    fn stage(&mut self, u: u64, ls: &Lockstep) {
+        let Coordinator { traffic, cfg, stats, plan, gen_bufs, .. } = self;
+        traffic.generate_cycle(u, cfg, stats, |packet| {
+            gen_bufs[plan.shard_of_node(packet.source.0)].push(packet);
+        });
+        for (buf, slot) in gen_bufs.iter_mut().zip(&ls.staged[(u % 2) as usize]) {
+            if !buf.is_empty() {
+                std::mem::swap(&mut *slot.lock().expect("shard not panicked"), buf);
+            }
         }
+    }
+
+    /// Merges cycle `u`'s ejection records in shard order = ascending
+    /// router order = serial order.
+    fn merge(&mut self, u: u64, ls: &Lockstep) {
+        for slot in &ls.outs[(u % 2) as usize] {
+            slot.lock().expect("shard not panicked").merge_into(self.stats, self.ejected);
+        }
+    }
+
+    /// The coordinator's share of cycle `t`, run between shard 0's own
+    /// cycle and the barrier: merge cycle `t − 1`, stage cycle `t + 1`.
+    fn advance(&mut self, t: u64, ls: &Lockstep) {
+        let mut span = self.telemetry.span_start();
+        if t > ls.start {
+            self.merge(t - 1, ls);
+            span = self.telemetry.span_lap(SpanKind::StatsMerge, t, span);
+        }
+        // Generation stops at the serial schedule's horizon (`warmup +
+        // measure`) and at the end of the stretch — cycle `end`'s draws
+        // belong to whichever engine steps cycle `end`.
+        if t + 1 < ls.end && t + 1 < self.cfg.warmup + self.cfg.measure {
+            self.stage(t + 1, ls);
+            self.telemetry.span_lap(SpanKind::TrafficGen, t, span);
+        }
+    }
+
+    /// Samples the engine heartbeat when cycle `t` closes an interval.
+    /// Runs after the barrier, which orders every shard's cycle-`t`
+    /// publishes ahead of these reads.
+    fn heartbeat(&mut self, t: u64, ls: &Lockstep) {
+        let Some(b) = ls.board.as_ref() else { return };
+        if ls.beat_every == 0 || !(t + 1).is_multiple_of(ls.beat_every) {
+            return;
+        }
+        let busy = HealthBoard::read(&b.busy_ns);
+        let shard_cum: Vec<(u64, u64)> =
+            busy.into_iter().zip(HealthBoard::read(&b.barrier_ns)).collect();
+        let steps = self.steps_base + HealthBoard::read(&b.router_steps).iter().sum::<u64>();
+        let wake = HealthBoard::read(&b.wake_depth).iter().sum::<u64>();
+        let buffered = HealthBoard::read(&b.buffered_flits).iter().sum::<u64>();
+        self.telemetry
+            .profiler_mut()
+            .expect("heartbeat interval implies profiling")
+            .heartbeat(t + 1, steps, wake, buffered, &shard_cum);
     }
 }
 
-/// Advances `sim` by `cycles` cycles across `shards` worker threads,
-/// bit-identically to `cycles` serial [`NetworkSim::step`] calls.
+/// One participant's cycle loop over the whole stretch; `coord` is
+/// `Some` for shard 0 only. Returns `false` when the barrier was
+/// poisoned by another participant's panic.
+fn participate(w: &mut ShardWorker, mut coord: Option<&mut Coordinator>, ls: &Lockstep) -> bool {
+    // A panic anywhere in the cycle body poisons the barrier on unwind,
+    // releasing the other shards instead of deadlocking them.
+    let _poison = PoisonOnPanic(&ls.barrier);
+    let mut waiter = SpinWaiter::new();
+    for t in ls.start..ls.end {
+        if ls.panic_inject == Some((t, w.idx)) {
+            panic!("injected shard panic (VIX_SHARD_PANIC_AT) at cycle {t} shard {}", w.idx);
+        }
+        w.run_cycle(t, ls);
+        if let Some(c) = coord.as_deref_mut() {
+            c.advance(t, ls);
+        }
+        if let Some(b) = ls.board.as_ref() {
+            w.publish_health(b, t, ls.beat_every);
+        }
+        let span = w.shard.span_start();
+        if ls.barrier.wait(&mut waiter).is_err() {
+            return false;
+        }
+        w.shard.lap(SpanKind::BarrierWait, t, span);
+        if let Some(c) = coord.as_deref_mut() {
+            c.heartbeat(t, ls);
+        }
+    }
+    true
+}
+
+/// Advances `sim` by `cycles` cycles across `shards` threads (the
+/// caller's plus `shards − 1` scoped ones), bit-identically to `cycles`
+/// serial [`NetworkSim::step`] calls.
 ///
 /// The caller ([`NetworkSim::run_cycles`]) guarantees `shards` is in
 /// `2..=routers` and telemetry recording is off.
@@ -461,9 +562,6 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         Some(weights) => ShardPlan::weighted(sim.topology.as_ref(), shards, weights),
         None => ShardPlan::new(sim.topology.as_ref(), shards),
     };
-    // Test-only fault hook: `VIX_SHARD_PANIC_AT=cycle:shard` makes that
-    // worker panic at the top of that cycle, exercising the barrier
-    // poisoning path end-to-end (tests/shard_panic.rs).
     let panic_inject: Option<(u64, usize)> = std::env::var("VIX_SHARD_PANIC_AT")
         .ok()
         .and_then(|spec| {
@@ -474,9 +572,9 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     let routers_total = sim.routers.len();
     let nodes_total = sim.cfg.network.nodes;
 
-    // Engine self-profiling: each worker gets its own span track (no
+    // Engine self-profiling: each shard gets its own span track (no
     // sharing, no locks on the hot path); health gauges ride a lock-free
-    // atomic board the coordinator samples on the heartbeat interval.
+    // atomic board that shard 0 samples on the heartbeat interval.
     let profiling = sim.telemetry.profiling();
     let epoch = sim.telemetry.profiler().map(Profiler::epoch);
     let span_cap = if profiling {
@@ -484,9 +582,6 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     } else {
         0
     };
-    let beat_every = sim.telemetry.profiler().map_or(0, Profiler::beat_every);
-    let board = profiling.then(|| HealthBoard::new(shards));
-    let steps_base = sim.sched.gating.router_steps;
 
     // Per-shard scheduler state, seeded from the serial scheduler's.
     let serial = &sim.sched.gating;
@@ -510,6 +605,22 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
     // engine (see [`NetworkSim::effective_shards`]).
     let mut sinks: Vec<TelemetrySink> = (0..shards).map(|_| TelemetrySink::disabled()).collect();
 
+    // Staging and record slots are double-buffered by cycle parity, like
+    // the mailboxes: the coordinator fills `staged[(t + 1) % 2]` and
+    // drains `outs[(t - 1) % 2]` while the shards touch only the `t % 2`
+    // slots, so every lock is uncontended and taken once per cycle.
+    let ls = Lockstep {
+        start,
+        end,
+        mail: Mailboxes::new(shards),
+        staged: std::array::from_fn(|_| (0..shards).map(|_| Mutex::default()).collect()),
+        outs: std::array::from_fn(|_| (0..shards).map(|_| Mutex::default()).collect()),
+        barrier: SpinBarrier::new(shards),
+        board: profiling.then(|| HealthBoard::new(shards)),
+        beat_every: sim.telemetry.profiler().map_or(0, Profiler::beat_every),
+        panic_inject,
+    };
+
     // Split the network into per-shard mutable slices. The serial
     // calendar interleaves shards and references boundary pipes, so each
     // shard rebuilds its own from its pipe contents instead.
@@ -521,7 +632,6 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         inject_pipes: &mut sim.inject_pipes,
         sources: &mut sim.sources,
     };
-    let mail = Mailboxes::new(shards);
     let mut workers: Vec<ShardWorker> = Vec::with_capacity(shards);
     for (idx, (st, sink)) in states.iter_mut().zip(&mut sinks).enumerate() {
         let fab = fabric.split_front(st.routers.len(), st.nodes.len());
@@ -555,122 +665,49 @@ pub(crate) fn run_sharded(sim: &mut NetworkSim, cycles: u64, shards: usize) {
         // Deliveries already due at `start` on boundary pipes would
         // normally have been exchanged at the end of cycle `start − 1`
         // (which ran under a different scheduler), so post them now.
-        worker.send_boundary(Cycle(start), &mail);
+        worker.send_boundary(Cycle(start), &ls.mail);
         workers.push(worker);
     }
 
-    // Staging and record slots are double-buffered by cycle parity, like
-    // the mailboxes: the coordinator fills `staged[(t + 1) % 2]` and
-    // drains `outs[(t - 1) % 2]` while the workers touch only the `t % 2`
-    // slots, so every lock is uncontended and taken once per cycle.
-    let staged: [Vec<Mutex<Vec<PacketDescriptor>>>; 2] =
-        std::array::from_fn(|_| (0..shards).map(|_| Mutex::default()).collect());
-    let outs: [Vec<Mutex<Records>>; 2] =
-        std::array::from_fn(|_| (0..shards).map(|_| Mutex::default()).collect());
-    let mut gen_bufs: Vec<Vec<PacketDescriptor>> = vec![Vec::new(); shards];
-    let barrier = SpinBarrier::new(shards + 1);
-    let warm_plus_measure = sim.cfg.warmup + sim.cfg.measure;
-    let merge = |slots: &[Mutex<Records>], stats: &mut NetworkStats, ejected: &mut Vec<_>| {
-        // Shard order = ascending router order = serial order.
-        for slot in slots {
-            slot.lock().expect("worker not panicked").merge_into(stats, ejected);
-        }
+    let mut coord = Coordinator {
+        traffic: &mut sim.traffic,
+        cfg: &sim.cfg,
+        stats: &mut sim.stats,
+        ejected: &mut sim.ejected,
+        telemetry: &mut sim.telemetry,
+        plan,
+        gen_bufs: vec![Vec::new(); shards],
+        steps_base: sim.sched.gating.router_steps,
     };
-
-    // Pipeline fill: cycle `start`'s packets are staged before the
-    // workers exist (spawning publishes them), so the in-loop generation
+    // Pipeline fill: cycle `start`'s packets are staged before the other
+    // shards exist (spawning publishes them), so the in-loop generation
     // can run one cycle ahead from the very first barrier.
-    let (traffic, cfg) = (&mut sim.traffic, &sim.cfg);
-    let first = &staged[(start % 2) as usize];
-    stage_cycle(traffic, cfg, &mut sim.stats, start, &plan, &mut gen_bufs, first);
+    coord.stage(start, &ls);
 
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards);
-        for mut w in workers {
-            let (barrier, mail, staged, outs, board) = (&barrier, &mail, &staged, &outs, &board);
-            handles.push(scope.spawn(move || {
-                // A panic anywhere in the cycle body poisons the barrier
-                // on unwind, releasing the coordinator and the other
-                // shards instead of deadlocking them.
-                let _poison = PoisonOnPanic(barrier);
-                let mut waiter = SpinWaiter::new();
-                for t in start..end {
-                    if panic_inject == Some((t, w.idx)) {
-                        panic!(
-                            "injected shard panic (VIX_SHARD_PANIC_AT) at cycle {t} shard {}",
-                            w.idx
-                        );
-                    }
-                    let parity = (t % 2) as usize;
-                    let (staged, out) = (&staged[parity][w.idx], &outs[parity][w.idx]);
-                    w.run_cycle(t, t + 1 == end, mail, staged, out);
-                    if let Some(b) = board.as_ref() {
-                        w.publish_health(b, t, beat_every);
-                    }
-                    let sp = w.shard.span_start();
-                    if barrier.wait(&mut waiter).is_err() {
-                        break;
-                    }
-                    w.shard.lap(SpanKind::BarrierWait, t, sp);
-                }
-            }));
-        }
-        // Coordinator: the stats/RNG owner, pipelined one cycle ahead.
-        // While the workers execute cycle `t` it merges cycle `t − 1`'s
-        // records and generates cycle `t + 1`'s traffic with the run's
-        // single RNG in exact serial order, so the random stream and
-        // packet-id sequence are shard-count-invariant.
-        let _poison = PoisonOnPanic(&barrier);
-        let mut waiter = SpinWaiter::new();
-        let mut poisoned = false;
-        for t in start..end {
-            let mut csp = sim.telemetry.span_start();
-            if t > start {
-                merge(&outs[((t - 1) % 2) as usize], &mut sim.stats, &mut sim.ejected);
-                csp = sim.telemetry.span_lap(SpanKind::StatsMerge, t, csp);
-            }
-            // Stage cycle `t + 1`. Generation stops at the serial
-            // schedule's horizon (`warmup + measure`) and at the end of
-            // this sharded stretch — cycle `end`'s draws belong to
-            // whichever engine steps cycle `end`.
-            if t + 1 < end && t + 1 < warm_plus_measure {
-                let next = &staged[((t + 1) % 2) as usize];
-                stage_cycle(traffic, cfg, &mut sim.stats, t + 1, &plan, &mut gen_bufs, next);
-                csp = sim.telemetry.span_lap(SpanKind::TrafficGen, t, csp);
-            }
-            if barrier.wait(&mut waiter).is_err() {
-                poisoned = true;
-                break;
-            }
-            sim.telemetry.span_lap(SpanKind::BarrierWait, t, csp);
-            if beat_every > 0 && (t + 1).is_multiple_of(beat_every) {
-                if let Some(b) = board.as_ref() {
-                    let busy = HealthBoard::read(&b.busy_ns);
-                    let shard_cum: Vec<(u64, u64)> =
-                        busy.into_iter().zip(HealthBoard::read(&b.barrier_ns)).collect();
-                    let steps =
-                        steps_base + HealthBoard::read(&b.router_steps).iter().sum::<u64>();
-                    let wake = HealthBoard::read(&b.wake_depth).iter().sum::<u64>();
-                    let buffered = HealthBoard::read(&b.buffered_flits).iter().sum::<u64>();
-                    sim.telemetry
-                        .profiler_mut()
-                        .expect("heartbeat interval implies profiling")
-                        .heartbeat(t + 1, steps, wake, buffered, &shard_cum);
-                }
-            }
-        }
-        if !poisoned {
-            merge(&outs[((end - 1) % 2) as usize], &mut sim.stats, &mut sim.ejected);
+        let ls = &ls;
+        let mut workers = workers.into_iter();
+        let mut first = workers.next().expect("a sharded run has at least two shards");
+        let handles: Vec<_> = workers
+            .map(|mut w| scope.spawn(move || participate(&mut w, None, ls)))
+            .collect();
+        // Shard 0 steps and coordinates on the caller's thread. If it
+        // panics, its guard poisons the barrier, the scope joins the
+        // other shards as they unwind, and the panic continues out of
+        // this call.
+        let completed = participate(&mut first, Some(&mut coord), ls);
+        if completed {
+            coord.merge(end - 1, ls);
         }
         for h in handles {
-            // Re-throw a worker's panic on the coordinator thread; the
-            // barrier is already poisoned, so the remaining workers have
-            // unwound (or will at their next wait) and the scope can close.
+            // Re-throw another shard's panic here; the barrier is already
+            // poisoned, so the remaining shards have unwound (or will at
+            // their next wait) and the scope can close.
             if let Err(payload) = h.join() {
                 std::panic::resume_unwind(payload);
             }
         }
-        assert!(!poisoned, "shard barrier poisoned but every worker joined cleanly");
+        assert!(completed, "shard barrier poisoned but every shard joined cleanly");
     });
 
     // Hand the scheduler back to serial stepping at cycle `end`: router

@@ -43,8 +43,8 @@ use std::time::Instant;
 /// takes 0 ns; the last bucket takes everything ≥ 2^22 ns ≈ 4 ms).
 pub const NS_BUCKETS: usize = 23;
 
-/// Track id used for the serial engine / the sharded coordinator.
-/// Shard workers use their shard index as the track id.
+/// Track id used for the serial engine / the sharded run's coordinator
+/// duties. Each shard uses its shard index as the track id.
 pub const ENGINE_TRACK: u32 = u32::MAX;
 
 /// The instrumented engine phases.
@@ -53,10 +53,11 @@ pub const ENGINE_TRACK: u32 = u32::MAX;
 /// (flits), `CreditDeliver`, and `RouterStep`. Gated cycles fold flit
 /// and credit delivery into one wake-calendar drain, recorded as
 /// `Deliver`. Sharded runs additionally record `Exchange` (staged
-/// packets, cross-shard mailboxes, boundary scan) and one `BarrierWait`
-/// per cycle on every worker (the single end-of-cycle spin barrier),
-/// plus `TrafficGen` (pipelined one cycle ahead), `StatsMerge`, and
-/// `BarrierWait` on the coordinator track.
+/// packets, cross-shard mailboxes, boundary scan) and exactly one
+/// `BarrierWait` per cycle on every shard track (the single end-of-cycle
+/// spin barrier), plus `TrafficGen` (pipelined one cycle ahead) and
+/// `StatsMerge` on the engine track — the coordinator runs on shard 0's
+/// thread, so its barrier wait is shard 0's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SpanKind {
@@ -75,10 +76,10 @@ pub enum SpanKind {
     /// Sharded engine: staged-packet drain, cross-shard mailbox drain,
     /// and the boundary scan that refills neighbour mailboxes.
     Exchange = 5,
-    /// Coordinator: merging a finished cycle's worker outputs into the
+    /// Coordinator: merging a finished cycle's shard outputs into the
     /// run statistics.
     StatsMerge = 6,
-    /// Time spent at the end-of-cycle barrier (worker and coordinator):
+    /// Time a shard's thread spends at the end-of-cycle barrier:
     /// spinning/yielding for stragglers. The share of wall-clock spent
     /// here is the shard engine's synchronization + imbalance cost.
     BarrierWait = 7,

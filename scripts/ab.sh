@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Same-host A/B of the simulator's cycle time against a git revision.
 #
-#   scripts/ab.sh <rev> [rounds] [saturated|lowload]    e.g. scripts/ab.sh HEAD~
+#   scripts/ab.sh <rev> [rounds] [saturated|lowload|sharded]    e.g. scripts/ab.sh HEAD~
 #
 # Builds <rev> and the working tree into ONE throwaway binary and steps one
 # benchmark workload's simulations (seed 1) of both builds in alternating
@@ -9,7 +9,9 @@
 #   saturated (default): mesh64-saturated, 8x8 mesh, IF and VIX at 0.12
 #     pkt/node/cycle, 500 warmup + 3000 measured cycles, 100-cycle chunks;
 #   lowload: mesh64-lowload, 8x8 mesh, VIX at 0.006, 1000 warmup + 10000
-#     measured + 1000 drain cycles, 500-cycle chunks.
+#     measured + 1000 drain cycles, 500-cycle chunks;
+#   sharded: mesh256-sharded, 16x16 mesh, VIX at 0.04 on two shards, 500
+#     warmup + 1500 measured + 500 drain cycles, 500-cycle chunks.
 # Each of `rounds` (default 6) rounds builds fresh simulations; which build
 # steps first alternates by round. The binary asserts that both builds
 # eject the same packets at the same cycles, then prints the working-tree /
@@ -22,10 +24,10 @@
 # of every crate side by side. A measurement tool, not a CI gate.
 set -euo pipefail
 
-rev=${1:?usage: scripts/ab.sh <rev> [rounds] [saturated|lowload]}
+rev=${1:?usage: scripts/ab.sh <rev> [rounds] [saturated|lowload|sharded]}
 rounds=${2:-6}
 workload=${3:-saturated}
-case $workload in saturated | lowload) ;; *) echo "unknown workload: $workload" >&2; exit 2 ;; esac
+case $workload in saturated | lowload | sharded) ;; *) echo "unknown workload: $workload" >&2; exit 2 ;; esac
 root=$(git rev-parse --show-toplevel)
 ab="$root/target/ab"
 base="$ab/base"
@@ -60,19 +62,42 @@ EOF
 cat > "$harness/src/main.rs" <<'EOF'
 use std::time::Instant;
 
-/// One benchmark workload: which allocators (VIX or IF), injection rate,
-/// warmup/measure/drain windows, chunk length in cycles.
+/// One benchmark workload: mesh size, which allocators (VIX or IF),
+/// injection rate, warmup/measure/drain windows, chunk length in cycles,
+/// shard count.
 pub struct Workload {
+    pub nodes: usize,
     pub vix: &'static [bool],
     pub rate: f64,
     pub windows: (u64, u64, u64),
     pub chunk: u64,
+    pub shards: usize,
 }
 
-const SATURATED: Workload =
-    Workload { vix: &[false, true], rate: 0.12, windows: (500, 3_000, 0), chunk: 100 };
-const LOWLOAD: Workload =
-    Workload { vix: &[true], rate: 0.006, windows: (1_000, 10_000, 1_000), chunk: 500 };
+const SATURATED: Workload = Workload {
+    nodes: 64,
+    vix: &[false, true],
+    rate: 0.12,
+    windows: (500, 3_000, 0),
+    chunk: 100,
+    shards: 1,
+};
+const LOWLOAD: Workload = Workload {
+    nodes: 64,
+    vix: &[true],
+    rate: 0.006,
+    windows: (1_000, 10_000, 1_000),
+    chunk: 500,
+    shards: 1,
+};
+const SHARDED: Workload = Workload {
+    nodes: 256,
+    vix: &[true],
+    rate: 0.04,
+    windows: (500, 1_500, 500),
+    chunk: 500,
+    shards: 2,
+};
 
 /// Builds one side's simulations of a workload and steps them in chunks,
 /// returning each chunk's ejection fingerprint.
@@ -85,12 +110,12 @@ macro_rules! side {
                 let sims = w.vix.iter().map(|&vix| {
                     let alloc = if vix { AllocatorKind::Vix } else { AllocatorKind::InputFirst };
                     let mut net = NetworkConfig::paper_default(TopologyKind::Mesh, alloc);
-                    net.nodes = 64;
+                    net.nodes = w.nodes;
                     let (warmup, measure, drain) = w.windows;
                     let cfg = SimConfig::new(net, w.rate)
                         .with_windows(warmup, measure, drain)
                         .with_seed(1)
-                        .with_shards(1);
+                        .with_shards(w.shards);
                     $sim::NetworkSim::build(cfg).expect("valid config")
                 });
                 Sims(sims.collect(), w.chunk)
@@ -121,7 +146,11 @@ fn pct(v: &mut [f64], p: f64) -> f64 {
 fn main() {
     let mut args = std::env::args().skip(1);
     let rounds: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(6);
-    let w = if args.next().as_deref() == Some("lowload") { &LOWLOAD } else { &SATURATED };
+    let w = match args.next().as_deref() {
+        Some("lowload") => &LOWLOAD,
+        Some("sharded") => &SHARDED,
+        _ => &SATURATED,
+    };
     let cycles = w.windows.0 + w.windows.1 + w.windows.2;
     let (mut head_ns, mut base_ns) = (Vec::new(), Vec::new());
     for round in 0..rounds {

@@ -374,6 +374,47 @@ fn profiled_sharded_chrome_trace_has_per_shard_tracks() {
     assert!(counters > 0, "heartbeats must export counter tracks");
 }
 
+/// Pins the sharded cycle protocol as the profiler sees it: `S` shards
+/// run on `S` threads, each lapping exactly one `BarrierWait` per cycle
+/// on its own track. The coordinator's `TrafficGen` and `StatsMerge`
+/// stay on the engine track, which never waits at the barrier itself —
+/// the coordinator runs on shard 0's thread, whose wait is shard 0's.
+#[test]
+fn sharded_run_waits_once_per_shard_per_cycle() {
+    const CYCLES: u64 = 300; // warmup + measure + drain of `profiled_sharded_run`
+    for shards in [2usize, 3] {
+        let tel = profiled_sharded_run(shards);
+        let prof = tel.profiler().expect("profiling was enabled");
+        assert_eq!(
+            prof.breakdown().totals[SpanKind::BarrierWait as usize].count,
+            shards as u64 * CYCLES,
+            "{shards} shards: one barrier wait per shard per cycle"
+        );
+        assert_eq!(prof.dropped_spans(), 0, "the span rings must hold the whole run");
+
+        let mut out = Vec::new();
+        prof.write_spans_jsonl(&mut out).expect("write to Vec cannot fail");
+        let text = String::from_utf8(out).expect("span JSONL output is UTF-8");
+        let mut waits: HashMap<String, u64> = HashMap::new();
+        let mut coordinator_spans = 0;
+        for line in text.lines() {
+            let value = json::parse(line).expect("span line is valid JSON");
+            let span = value.get("span").and_then(JsonValue::as_str).expect("span name");
+            let track = value.get("track").and_then(JsonValue::as_str).expect("track name");
+            if span == SpanKind::BarrierWait.name() {
+                *waits.entry(track.to_owned()).or_default() += 1;
+            } else if span == SpanKind::TrafficGen.name() || span == SpanKind::StatsMerge.name() {
+                assert_eq!(track, "engine", "{span} must stay on the engine track");
+                coordinator_spans += 1;
+            }
+        }
+        assert!(coordinator_spans > 0, "{shards} shards: no coordinator spans recorded");
+        let expect: HashMap<String, u64> =
+            (0..shards).map(|s| (format!("shard{s}"), CYCLES)).collect();
+        assert_eq!(waits, expect, "{shards} shards: barrier waits per track");
+    }
+}
+
 #[test]
 fn profiling_never_perturbs_results() {
     let build = |profiling: bool, shards: usize| {
